@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ArcRecord, ConflictRecord, Instance, InvariantError
+from .solvers import INFINITY, dijkstra
 
 
 class UnsatisfiableConfigError(RuntimeError):
@@ -138,24 +138,6 @@ def _decode_unordered_pair(q: int, m: int) -> tuple[int, int]:
     return i, j
 
 
-def _sink_reachable(n: int, pairs: list[tuple[int, int]], source: int, sink: int) -> bool:
-    out: list[list[int]] = [[] for _ in range(n)]
-    for tail, head in pairs:
-        out[tail].append(head)
-    seen = [False] * n
-    seen[source] = True
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if u == sink:
-            return True
-        for v in out[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return False
-
-
 def _finish(
     n: int,
     pairs: list[tuple[int, int]],
@@ -163,9 +145,11 @@ def _finish(
     weight_range: tuple[int, int],
     penalty_range: tuple[int, int],
     seed: int,
-) -> Instance:
+) -> Instance | None:
     # Shared tail of both generators: fix arc order, then draw weights,
-    # conflict pairs, and penalties from their own substreams.
+    # conflict pairs, and penalties from their own substreams, none of
+    # which depends on the retry attempt.  None when the sink is
+    # unreachable, so the caller resamples the arcs.
     pairs = sorted(pairs)
     m = len(pairs)
     weight_rng = _stream(seed, "weights")
@@ -189,9 +173,11 @@ def _finish(
         ConflictRecord(a, b, penalty_rng.randint(*penalty_range))
         for a, b in chosen
     )
-    return Instance(
+    instance = Instance(
         vertex_count=n, arcs=arcs, conflicts=conflicts, source=0, sink=n - 1
     )
+    dist, _ = dijkstra(instance, target=n - 1)
+    return None if dist[n - 1] == INFINITY else instance
 
 
 def generate_random(config: RandomConfig, max_retries: int = 100) -> Instance:
@@ -208,11 +194,11 @@ def generate_random(config: RandomConfig, max_retries: int = 100) -> Instance:
         pairs = [
             _decode_ordered_pair(q, n) for q in rng.sample(range(n * (n - 1)), m)
         ]
-        if _sink_reachable(n, pairs, 0, n - 1):
-            return _finish(
-                n, pairs, config.r, config.weight_range, config.penalty_range,
-                config.seed,
-            )
+        instance = _finish(
+            n, pairs, config.r, config.weight_range, config.penalty_range, config.seed
+        )
+        if instance is not None:
+            return instance
     raise UnsatisfiableConfigError(
         f"sink unreachable after {max_retries} arc samples (n={n}, d={config.d})"
     )
@@ -257,11 +243,11 @@ def generate_small_world(config: SmallWorldConfig, max_retries: int = 100) -> In
                     arc_set.add((tail, candidate))
                     pairs[idx] = (tail, candidate)
                     break
-        if _sink_reachable(n, pairs, 0, n - 1):
-            return _finish(
-                n, pairs, config.r, config.weight_range, config.penalty_range,
-                config.seed,
-            )
+        instance = _finish(
+            n, pairs, config.r, config.weight_range, config.penalty_range, config.seed
+        )
+        if instance is not None:
+            return instance
     raise UnsatisfiableConfigError(
         f"sink unreachable after {max_retries} rewiring passes (n={n}, k={config.k})"
     )

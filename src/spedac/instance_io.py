@@ -52,6 +52,8 @@ def parse_instance(text: str) -> Instance:
     if len(lines) < 2:
         raise ParseError(2, "missing counts line 'n m c s t'")
     n, m, c, s, t = _ints(2, lines[1], 5, "counts 'n m c s t'")
+    if min(n, m, c) < 0:
+        raise ParseError(2, f"counts n, m and c must be non-negative, got {n} {m} {c}")
     body = lines[2:]
     while body and not body[-1].strip():
         body.pop()
@@ -89,7 +91,13 @@ def render_instance(instance: Instance) -> str:
 
 
 def load_instance(path: str | Path) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="ascii"))
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line_no, f"non-ASCII byte 0x{raw[exc.start]:02x}") from None
+    return parse_instance(text)
 
 
 def save_instance(instance: Instance, path: str | Path) -> None:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from . import __version__
-from .core import Instance, PathSolution
+from .core import Instance, PathSolution, incidence_from_path
 from .instance_io import render_instance
 
 Number = Union[int, Fraction]
@@ -252,11 +252,11 @@ def induced_assignment(
     and the constant variable is 1.
     """
     values: dict[str, int] = {CONSTANT_VAR: 1}
-    on_path = set(solution.arc_indices)
-    for idx, arc in enumerate(instance.arcs):
-        values[f"x_{arc.tail}_{arc.head}"] = 1 if idx in on_path else 0
-    for k, c in enumerate(instance.conflicts):
-        values[f"y_{k}"] = 1 if c.arc_a in on_path and c.arc_b in on_path else 0
+    flags = incidence_from_path(instance, solution)
+    for arc, x in zip(instance.arcs, flags.arc_flags):
+        values[f"x_{arc.tail}_{arc.head}"] = x
+    for k, y in enumerate(flags.penalty_flags):
+        values[f"y_{k}"] = y
     if sec_mode == "mtz":
         position = {v: i for i, v in enumerate(solution.vertices)}
         for v in range(instance.vertex_count):

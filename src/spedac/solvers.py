@@ -18,6 +18,8 @@ from typing import Callable, Iterator, Optional, Sequence
 from .core import Instance, PathSolution, evaluate
 
 INFINITY = math.inf
+LOCAL_SEARCH_POOL = 50  # k-shortest paths evaluated before the descent
+LOCAL_SEARCH_RESTARTS = 8  # perturbation kicks after the first descent
 
 
 class GuardExceededError(RuntimeError):
@@ -54,75 +56,100 @@ class SolveReport:
 
 
 def dijkstra(
-    instance: Instance, from_sink: bool = False
+    instance: Instance,
+    from_sink: bool = False,
+    origin: Optional[int] = None,
+    target: Optional[int] = None,
+    banned_vertices: frozenset[int] | set[int] = frozenset(),
+    banned_arcs: frozenset[int] | set[int] = frozenset(),
 ) -> tuple[list[float], list[Optional[int]]]:
     """Conflict-blind single-source shortest arc-cost distances.
 
-    With from_sink=False: distances from the source, pred[v] is the arc
-    index entering v on a shortest route (None at the source or when
-    unreachable).  With from_sink=True the graph is traversed backwards:
-    distances measure v -> sink, and pred[v] is the arc leaving v toward
-    the sink.  Unreachable vertices carry +infinity.
+    With from_sink=False: distances from origin (default the source),
+    pred[v] is the arc index entering v on a shortest route (None at the
+    origin or when unreachable).  With from_sink=True the graph is
+    traversed backwards from origin (default the sink): distances
+    measure v -> origin, and pred[v] is the arc leaving v toward it.
+    Unreachable vertices carry +infinity.  Arcs in banned_arcs and arcs
+    leading into banned_vertices are skipped.  Given a target, the search
+    stops once the target's distance is final; other entries may then
+    be provisional.
     """
     n = instance.vertex_count
     arcs = instance.arcs
-    start = instance.sink if from_sink else instance.source
+    if origin is None:
+        origin = instance.sink if from_sink else instance.source
     dist: list[float] = [INFINITY] * n
     pred: list[Optional[int]] = [None] * n
-    dist[start] = 0
-    heap: list[tuple[float, int]] = [(0, start)]
+    dist[origin] = 0
+    heap: list[tuple[float, int]] = [(0, origin)]
     neighbours = instance.incoming if from_sink else instance.outgoing
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
+        if u == target:
+            break
         for a in neighbours[u]:
-            v = arcs[a].tail if from_sink else arcs[a].head
-            nd = d + arcs[a].weight
-            if nd < dist[v]:
+            arc = arcs[a]
+            v = arc.tail if from_sink else arc.head
+            nd = d + arc.weight
+            if nd < dist[v] and v not in banned_vertices and a not in banned_arcs:
                 dist[v] = nd
                 pred[v] = a
                 heapq.heappush(heap, (nd, v))
     return dist, pred
 
 
-def shortest_path_vertices(instance: Instance) -> Optional[tuple[int, ...]]:
-    """Vertices of a conflict-blind shortest source-sink path, or None."""
-    dist, pred = dijkstra(instance)
-    if dist[instance.sink] == INFINITY:
-        return None
-    verts = [instance.sink]
-    while verts[-1] != instance.source:
-        arc = instance.arcs[pred[verts[-1]]]
-        verts.append(arc.tail)
+def _path(
+    instance: Instance, pred: Sequence[Optional[int]], origin: int, target: int
+) -> Optional[tuple[int, ...]]:
+    # Walks forward predecessor arcs back from target to origin; None
+    # when the search never reached target.
+    verts = [target]
+    while verts[-1] != origin:
+        arc = pred[verts[-1]]
+        if arc is None:
+            return None
+        verts.append(instance.arcs[arc].tail)
     verts.reverse()
     return tuple(verts)
 
 
+def shortest_path_vertices(instance: Instance) -> Optional[tuple[int, ...]]:
+    """Vertices of a conflict-blind shortest source-sink path, or None."""
+    _, pred = dijkstra(instance, target=instance.sink)
+    return _path(instance, pred, instance.source, instance.sink)
+
+
 def enumerate_simple_paths(instance: Instance) -> Iterator[tuple[int, ...]]:
-    """Yield every simple source-sink path, arcs explored in index order."""
+    """Yield every simple source-sink path, arcs explored in index order.
+
+    Depth-first with an explicit stack of outgoing-arc iterators, so the
+    path length is not limited by the interpreter's recursion depth.
+    """
     arcs = instance.arcs
     outgoing = instance.outgoing
     sink = instance.sink
     path = [instance.source]
     on_path = [False] * instance.vertex_count
     on_path[instance.source] = True
-
-    def extend(u: int) -> Iterator[tuple[int, ...]]:
-        if u == sink:
-            yield tuple(path)
-            return
-        for a in outgoing[u]:
+    stack = [iter(outgoing[instance.source])]
+    while stack:
+        for a in stack[-1]:
             v = arcs[a].head
             if on_path[v]:
                 continue
+            if v == sink:
+                yield (*path, v)
+                continue
             on_path[v] = True
             path.append(v)
-            yield from extend(v)
-            path.pop()
-            on_path[v] = False
-
-    yield from extend(instance.source)
+            stack.append(iter(outgoing[v]))
+            break
+        else:
+            stack.pop()
+            on_path[path.pop()] = False
 
 
 def brute_force(
@@ -333,44 +360,6 @@ def branch_and_bound(
     )
 
 
-def _masked_shortest_path(
-    instance: Instance,
-    origin: int,
-    target: int,
-    banned_vertices: frozenset[int] | set[int] = frozenset(),
-    banned_arcs: frozenset[int] | set[int] = frozenset(),
-) -> Optional[tuple[int, tuple[int, ...]]]:
-    """Cheapest arc-cost path origin -> target avoiding banned items."""
-    arcs = instance.arcs
-    dist: dict[int, int] = {origin: 0}
-    pred: dict[int, int] = {}
-    heap: list[tuple[int, int]] = [(0, origin)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u == target:
-            break
-        if d > dist.get(u, INFINITY):
-            continue
-        for a in instance.outgoing[u]:
-            if a in banned_arcs:
-                continue
-            v = arcs[a].head
-            if v in banned_vertices:
-                continue
-            nd = d + arcs[a].weight
-            if nd < dist.get(v, INFINITY):
-                dist[v] = nd
-                pred[v] = a
-                heapq.heappush(heap, (nd, v))
-    if target not in dist:
-        return None
-    verts = [target]
-    while verts[-1] != origin:
-        verts.append(arcs[pred[verts[-1]]].tail)
-    verts.reverse()
-    return dist[target], tuple(verts)
-
-
 def k_shortest_paths(instance: Instance, k: int) -> list[tuple[int, tuple[int, ...]]]:
     """Up to k cheapest simple source-sink paths by arc cost (Yen).
 
@@ -378,11 +367,13 @@ def k_shortest_paths(instance: Instance, k: int) -> list[tuple[int, tuple[int, .
     the full objective.  Deterministic: candidate ties break on the
     vertex tuple.
     """
-    first = _masked_shortest_path(instance, instance.source, instance.sink)
+    sink = instance.sink
+    dist, pred = dijkstra(instance, target=sink)
+    first = _path(instance, pred, instance.source, sink)
     if first is None:
         return []
-    found: list[tuple[int, tuple[int, ...]]] = [first]
-    seen = {first[1]}
+    found: list[tuple[int, tuple[int, ...]]] = [(dist[sink], first)]
+    seen = {first}
     candidates: list[tuple[int, tuple[int, ...]]] = []
     lookup = instance.arc_index
     while len(found) < k:
@@ -396,13 +387,14 @@ def k_shortest_paths(instance: Instance, k: int) -> list[tuple[int, tuple[int, .
                 for _, p in found
                 if len(p) > i + 1 and p[: i + 1] == root
             }
-            banned_vertices = set(root[:-1])
-            spur_part = _masked_shortest_path(
-                instance, spur, instance.sink, banned_vertices, banned_arcs
+            dist, pred = dijkstra(
+                instance, origin=spur, target=sink,
+                banned_vertices=set(root[:-1]), banned_arcs=banned_arcs,
             )
+            spur_part = _path(instance, pred, spur, sink)
             if spur_part is not None:
-                total = root_cost + spur_part[0]
-                full = root[:-1] + spur_part[1]
+                total = root_cost + dist[sink]
+                full = root[:-1] + spur_part
                 if full not in seen:
                     seen.add(full)
                     heapq.heappush(candidates, (total, full))
@@ -414,24 +406,20 @@ def k_shortest_paths(instance: Instance, k: int) -> list[tuple[int, tuple[int, .
 
 
 def local_search(
-    instance: Instance,
-    time_limit: Optional[float] = None,
-    seed: int = 0,
-    pool_size: int = 50,
-    detour_radius: Optional[int] = None,
-    restarts: int = 8,
+    instance: Instance, time_limit: Optional[float] = None, seed: int = 0
 ) -> SolveReport:
     """Heuristic: shortest-path seed, candidate pool, detour descent.
 
     Starts from the conflict-blind shortest path, evaluates a pool of
-    cheap paths (k-shortest by arc cost), then repeatedly applies the
-    best single-detour move (replace one subpath by the cheapest
-    alternative subpath) while it strictly improves the objective.
-    Seeded perturbation restarts escape local optima.  The reported
-    lower bound is the conflict-blind shortest distance; the status is
-    always FEASIBLE when the sink is reachable since no optimality is
-    proven.  The schedule is iteration-bounded, so results with a fixed
-    seed do not depend on the clock unless the time limit trips.
+    LOCAL_SEARCH_POOL cheap paths (k-shortest by arc cost), then
+    repeatedly applies the best single-detour move (replace one subpath
+    by the cheapest alternative subpath) while it strictly improves the
+    objective.  LOCAL_SEARCH_RESTARTS seeded perturbation restarts escape
+    local optima.  The reported lower bound is the conflict-blind
+    shortest distance; the status is always FEASIBLE when the sink is
+    reachable since no optimality is proven.  The schedule is
+    iteration-bounded, so results with a fixed seed do not depend on the
+    clock unless the time limit trips.
     """
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
@@ -439,7 +427,7 @@ def local_search(
     def out_of_time() -> bool:
         return deadline is not None and time.perf_counter() > deadline
 
-    dist, _ = dijkstra(instance)
+    dist, pred = dijkstra(instance)
     if dist[instance.sink] == INFINITY:
         return SolveReport(
             status=SolveStatus.INFEASIBLE,
@@ -467,18 +455,23 @@ def local_search(
         evaluated += 1
         return evaluate(instance, verts)
 
+    def route(origin: int, target: int, banned: set[int]) -> Optional[tuple[int, ...]]:
+        # Cheapest origin -> target path through no banned vertex.
+        _, came_by = dijkstra(
+            instance, origin=origin, target=target, banned_vertices=banned
+        )
+        return _path(instance, came_by, origin, target)
+
     def best_detour(sol: PathSolution) -> Optional[PathSolution]:
         # Best strict improvement over every (i, j) subpath replacement.
         p = sol.vertices
         winner: Optional[PathSolution] = None
         for i in range(len(p) - 1):
-            limit = len(p) if detour_radius is None else min(len(p), i + detour_radius + 1)
-            for j in range(i + 1, limit):
-                banned = (set(p[:i]) | set(p[j + 1:]))
-                alt = _masked_shortest_path(instance, p[i], p[j], banned)
-                if alt is None or alt[1] == p[i: j + 1]:
+            for j in range(i + 1, len(p)):
+                alt = route(p[i], p[j], set(p[:i]) | set(p[j + 1:]))
+                if alt is None or alt == p[i: j + 1]:
                     continue
-                cand = assess(p[:i] + alt[1] + p[j + 1:])
+                cand = assess(p[:i] + alt + p[j + 1:])
                 if cand.objective < sol.objective and (
                     winner is None or cand.objective < winner.objective
                 ):
@@ -505,30 +498,23 @@ def local_search(
             w = rng.randrange(0, instance.vertex_count)
             if w in p:
                 continue
-            first = _masked_shortest_path(
-                instance, p[i], w, (set(p[:i]) | set(p[j:])) - {p[i]}
-            )
+            first = route(p[i], w, set(p[:i]) | set(p[j:]))
             if first is None:
                 continue
-            second = _masked_shortest_path(
-                instance,
-                w,
-                p[j],
-                (set(p[: i + 1]) | set(p[j + 1:]) | set(first[1])) - {w, p[j]},
-            )
+            second = route(w, p[j], set(p[: i + 1]) | set(p[j + 1:]) | set(first))
             if second is None:
                 continue
-            return assess(p[:i] + first[1] + second[1][1:] + p[j + 1:])
+            return assess(p[:i] + first + second[1:] + p[j + 1:])
         return None
 
-    consider(assess(shortest_path_vertices(instance)))
-    for _, verts in k_shortest_paths(instance, pool_size):
+    consider(assess(_path(instance, pred, instance.source, instance.sink)))
+    for _, verts in k_shortest_paths(instance, LOCAL_SEARCH_POOL):
         if out_of_time():
             break
         consider(assess(verts))
     consider(descend(best))
     rng = random.Random(f"{seed}/local-search")
-    for _ in range(restarts):
+    for _ in range(LOCAL_SEARCH_RESTARTS):
         if out_of_time():
             break
         kicked = perturbed(best, rng)

@@ -7,13 +7,16 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import random
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
+import spedac
 from spedac import (
     RandomConfig,
     SmallWorldConfig,
@@ -57,10 +60,14 @@ def _criterion(name: str):
 
 
 def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    # The child imports the same spedac as the tests, installed or not.
+    package_root = str(Path(spedac.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "spedac.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -164,6 +164,22 @@ def test_run_bench_survives_corrupt_files(tmp_path):
     assert mean["UB"] == good["UB"]
 
 
+@pytest.mark.parametrize(
+    "corrupt", [b"SPEDAC 1\n2 -5 5 0 1\n", b"SPEDAC 1\n2 1 0 0 1\n0 1 \xff\n"]
+)
+def test_bench_csv_reports_undecodable_and_negative_count_files(tmp_path, corrupt):
+    _fill_directory(tmp_path, n_values=(8,), seeds=(0,))
+    (tmp_path / "random_n8_d0.4_r0_p5-50_s9.spedac").write_bytes(corrupt)
+    text = render_bench_csv(run_bench(tmp_path, methods=("bb",), timing=False))
+    records = list(csv.DictReader(io.StringIO(text.split("\n", 1)[1])))
+    bad = next(r for r in records if r["instance"].endswith("_s9.spedac"))
+    assert bad["status"].startswith("ParseError: line ")
+    assert bad["UB"] == ""
+    good = next(r for r in records if r["instance"].endswith("_s0.spedac"))
+    assert good["status"] == "Optimal"
+    assert good["UB"] != ""
+
+
 def test_run_bench_rejects_unknown_method(tmp_path):
     with pytest.raises(ValueError, match="unknown method"):
         run_bench(tmp_path, methods=("bb", "magic"))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,10 +24,14 @@ from spedac.cli import main
 
 
 def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    # The child imports the same spedac as the tests, installed or not.
+    package_root = str(Path(spedac.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "spedac.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from spedac import (
     generate_random,
     generate_small_world,
     parse_profile,
+    render_instance,
     ring_degree,
 )
 from spedac.generators import _decode_ordered_pair, _decode_unordered_pair
@@ -133,6 +135,13 @@ def test_generate_random_retry_exhaustion():
         generate_random(RandomConfig(n=50, d=0.02, r=0.0, seed=0), max_retries=0)
 
 
+def test_conflict_count_error_comes_before_retry_exhaustion():
+    # Two arcs on 200 vertices miss the sink in all 100 samples, and r=3
+    # asks for more conflicts than the single arc pair allows.
+    with pytest.raises(UnsatisfiableConfigError, match="arc pairs exist"):
+        generate_random(RandomConfig(n=200, d=5e-5, r=3.0, seed=0))
+
+
 def test_random_config_validation():
     with pytest.raises(InvariantError, match="n must be"):
         RandomConfig(n=1, d=0.5, r=0.0)
@@ -219,3 +228,34 @@ def test_parse_profile_values_and_comments():
 def test_parse_profile_rejects_bare_words():
     with pytest.raises(ValueError, match="line 2"):
         parse_profile("n=5\nbogus\n")
+
+
+# --- pinned bytes -----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        # The first five arc samples of this config cannot reach the sink,
+        # so the retry path is part of what is pinned.
+        (
+            RandomConfig(n=30, d=0.05, r=5e-3, seed=0),
+            "24336eab1aef118cbf74c29f63509e80451cf3384e9c7b158f7c371174b904a6",
+        ),
+        (
+            RandomConfig(n=40, d=0.1, r=1e-3, seed=3),
+            "77ca12f73df9180022e40db03a7943ed52ddea2aa84925ac5866f527ec36c711",
+        ),
+        (
+            SmallWorldConfig(n=40, k=0.1, beta=0.5, r=1e-3, seed=0),
+            "ccdd7c879ab1f4dfa1b736b10f0b791308acf070516d7e2d117577016119a4e2",
+        ),
+        (
+            SmallWorldConfig(n=50, k=0.08, beta=0.2, r=5e-4, seed=7),
+            "9e77b9e4054e19c462bc96ce2db8b15d1f70a31a3c5562b7b3820d4378d39f9c",
+        ),
+    ],
+)
+def test_generated_instance_bytes_are_pinned(config, digest):
+    generate = generate_random if isinstance(config, RandomConfig) else generate_small_world
+    text = render_instance(generate(config))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest

@@ -100,3 +100,18 @@ def test_structural_problems_raise_invariant_errors(golden):
         parse_instance(text.replace("2 6 10\n", "9 0 10\n", 1))
     with pytest.raises(InvariantError, match="source"):
         parse_instance(text.replace("7 12 3 0 6", "7 12 3 9 6", 1))
+
+
+@pytest.mark.parametrize(
+    "counts", ["2 -5 5 0 1", "2 -1 0 0 1", "-3 0 0 0 1"]
+)
+def test_negative_counts_raise_parse_errors(counts):
+    with pytest.raises(ParseError, match="line 2: counts n, m and c must be non-negative"):
+        parse_instance(f"SPEDAC 1\n{counts}\n")
+
+
+def test_non_ascii_byte_raises_parse_error(tmp_path):
+    path = tmp_path / "bad.spedac"
+    path.write_bytes(b"SPEDAC 1\n2 1 0 0 1\n0 1 \xff\n")
+    with pytest.raises(ParseError, match="line 3: non-ASCII byte 0xff"):
+        load_instance(path)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 
 import pytest
 
 from spedac import (
     ArcRecord,
+    ConflictRecord,
     GapUndefinedError,
     GuardExceededError,
     Instance,
@@ -26,6 +29,18 @@ from spedac import (
 )
 
 INFINITY = math.inf
+
+
+def _chain(n: int) -> Instance:
+    """Path graph 0 -> 1 -> ... -> n-1 with one both-used conflict."""
+    arcs = tuple(ArcRecord(i, i + 1, 1 + i % 7) for i in range(n - 1))
+    return Instance(
+        vertex_count=n,
+        arcs=arcs,
+        conflicts=(ConflictRecord(0, n - 2, 9),),
+        source=0,
+        sink=n - 1,
+    )
 
 
 def _sweep_instances(counts=(6, 8, 10), densities=(0.2, 0.4), seeds=range(4)):
@@ -81,6 +96,67 @@ def test_dijkstra_marks_unreachable_with_infinity():
     assert dist[3] == 2
 
 
+def _without(instance, origin, target, banned_vertices, banned_arcs):
+    # The instance with the banned arcs and the arcs into banned vertices
+    # removed, with origin and target as its terminals.
+    kept = tuple(
+        arc
+        for i, arc in enumerate(instance.arcs)
+        if i not in banned_arcs and arc.head not in banned_vertices
+    )
+    return Instance(
+        vertex_count=instance.vertex_count,
+        arcs=kept,
+        conflicts=(),
+        source=origin,
+        sink=target,
+    )
+
+
+def _route(instance, dist, pred, origin, target):
+    # The shortest-path tree's route to target as (tail, head) pairs.
+    steps = []
+    v = target
+    while v != origin and pred[v] is not None:
+        arc = instance.arcs[pred[v]]
+        steps.append((arc.tail, arc.head))
+        v = arc.tail
+    return dist[target], steps
+
+
+def test_dijkstra_bans_and_target_match_a_pruned_instance():
+    checked = 0
+    for seed in range(6):
+        instance = generate_random(RandomConfig(n=30, d=0.1, r=0.0, seed=seed))
+        rng = random.Random(seed)
+        for _ in range(10):
+            origin, target = rng.sample(range(instance.vertex_count), 2)
+            others = [v for v in range(instance.vertex_count) if v not in (origin, target)]
+            banned_vertices = set(rng.sample(others, 5))
+            banned_arcs = set(rng.sample(range(len(instance.arcs)), 15))
+            pruned = _without(instance, origin, target, banned_vertices, banned_arcs)
+            full_dist, full_pred = dijkstra(pruned)
+            dist, _ = dijkstra(
+                instance,
+                origin=origin,
+                banned_vertices=banned_vertices,
+                banned_arcs=banned_arcs,
+            )
+            assert dist == full_dist
+            early = dijkstra(
+                instance,
+                origin=origin,
+                target=target,
+                banned_vertices=banned_vertices,
+                banned_arcs=banned_arcs,
+            )
+            assert _route(instance, *early, origin, target) == _route(
+                pruned, full_dist, full_pred, origin, target
+            )
+            checked += dist[target] != INFINITY
+    assert checked > 20  # most draws leave the target reachable
+
+
 # --- path enumeration and the exhaustive oracle ---------------------------
 
 def test_enumeration_matches_permutation_oracle(golden, permutation_enumerator):
@@ -100,6 +176,14 @@ def test_brute_force_golden(golden):
     assert report.lower_bound == report.upper_bound == 7
     assert report.incumbent.vertices == (0, 1, 3, 4, 6)
     assert report.nodes_explored == 12
+
+
+def test_brute_force_walks_a_long_chain():
+    chain = _chain(1500)
+    report = brute_force(chain)
+    assert report.status is SolveStatus.OPTIMAL
+    assert report.nodes_explored == 1
+    assert report.upper_bound == evaluate(chain, range(1500)).objective
 
 
 def test_brute_force_guard(golden):
@@ -125,6 +209,18 @@ def test_branch_and_bound_golden(golden):
     assert report.lower_bound == report.upper_bound == 7
     assert report.incumbent.vertices == (0, 1, 3, 4, 6)
     assert report.incumbent.violated_conflicts == frozenset()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RecursionError,
+    reason="branch_and_bound's depth-first walk is recursive",
+)
+def test_branch_and_bound_walks_a_long_chain():
+    chain = _chain(1500)
+    report = branch_and_bound(chain)
+    assert report.status is SolveStatus.OPTIMAL
+    assert report.upper_bound == evaluate(chain, range(1500)).objective
 
 
 def test_branch_and_bound_matches_brute_force_sweep():
@@ -284,6 +380,41 @@ def test_k_shortest_paths_prefix():
     )
     top = k_shortest_paths(instance, 4)
     assert [cost for cost, _ in top] == all_costs[: len(top)]
+
+
+# --- pinned outputs -------------------------------------------------------
+
+_PINNED_N60 = [
+    (
+        RandomConfig(n=60, d=0.05, r=1e-3, seed=1),
+        [76, 77, 171, 172, 219, 227, 235, 237, 249, 259,
+         265, 268, 269, 274, 278, 289, 290, 292, 295, 295],
+        "87d3dbb347fdc1eafdd927dc76cd940934bf0115039cc994a20adbbdb45291f8",
+        (1080, 280, (0, 58, 31, 59)),
+    ),
+    (
+        RandomConfig(n=60, d=0.1, r=5e-4, seed=2),
+        [126, 145, 146, 165, 173, 174, 177, 179, 181, 183,
+         184, 185, 187, 187, 189, 190, 191, 191, 192, 193],
+        "302858b3683506a71f8763500cb6b92aade3087181cf3ad63a7d21b63a58dc4c",
+        (2386, 286, (0, 54, 3, 28, 13, 8, 51, 34, 59)),
+    ),
+]
+
+
+@pytest.mark.parametrize("config, costs, digest, _", _PINNED_N60)
+def test_k_shortest_paths_are_pinned(config, costs, digest, _):
+    ranked = k_shortest_paths(generate_random(config), 20)
+    assert [cost for cost, _ in ranked] == costs
+    assert hashlib.sha256(repr(ranked).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("config, _, __, expected", _PINNED_N60)
+def test_local_search_is_pinned(config, _, __, expected):
+    report = local_search(generate_random(config))
+    assert (
+        report.upper_bound, report.nodes_explored, report.incumbent.vertices
+    ) == expected
 
 
 # --- optimality gap -------------------------------------------------------
