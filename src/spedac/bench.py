@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -161,6 +160,9 @@ def _solve_task(args: tuple[str, str, Optional[float], bool]) -> dict:
         report = solve_with_method(instance, method, time_limit=time_limit)
     except GuardExceededError as exc:
         return _failure_row(set_label, method, path.name, f"GuardExceeded: {exc}", meta)
+    except RecursionError as exc:
+        # branch_and_bound recurses once per path vertex.
+        return _failure_row(set_label, method, path.name, f"RecursionError: {exc}", meta)
     lb = None if report.lower_bound == INFINITY else report.lower_bound
     ub = None if report.upper_bound == INFINITY else report.upper_bound
     try:
@@ -253,6 +255,10 @@ def run_bench(
         for path in paths
     ]
     if workers > 1:
+        # Imported here: the process pool machinery costs about 1.5 MB of
+        # resident memory, which serial sweeps and the other commands skip.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_solve_task, tasks))
     else:

@@ -10,7 +10,8 @@ Subcommands:
 * validate        parse an instance file and report its shape
 
 Exit codes: 0 success, 2 unparseable or invariant-violating input,
-3 a guard or time limit struck before any incumbent was found.
+3 a guard or time limit struck before any incumbent was found, or the
+search ran past the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -272,6 +273,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except (GuardExceededError, UnsatisfiableConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError as exc:
+        print(f"error: the path is too long for the recursive search ({exc})",
+              file=sys.stderr)
         return 3
 
 

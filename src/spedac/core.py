@@ -127,6 +127,21 @@ class Instance:
         return {(a.tail, a.head): i for i, a in enumerate(self.arcs)}
 
     @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """Arc weights in arc-index order."""
+        return tuple(a.weight for a in self.arcs)
+
+    @cached_property
+    def heads(self) -> tuple[int, ...]:
+        """Arc heads in arc-index order."""
+        return tuple(a.head for a in self.arcs)
+
+    @cached_property
+    def tails(self) -> tuple[int, ...]:
+        """Arc tails in arc-index order."""
+        return tuple(a.tail for a in self.arcs)
+
+    @cached_property
     def outgoing(self) -> tuple[tuple[int, ...], ...]:
         """Arc indices leaving each vertex, in arc-index order."""
         out: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -152,7 +167,7 @@ class Instance:
         return tuple(tuple(x) for x in table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathSolution:
     """A simple source-to-sink path together with its evaluated costs."""
 
@@ -232,11 +247,11 @@ def evaluate(instance: Instance, path: Sequence[int]) -> PathSolution:
         arc_ids.append(idx)
         arc_cost += instance.arcs[idx].weight
     used = set(arc_ids)
-    violated = []
+    violated = set()  # frozenset() sizes its table from a set's count
     penalty_cost = 0
     for k, c in enumerate(instance.conflicts):
         if (c.arc_a in used) == (c.arc_b in used):
-            violated.append(k)
+            violated.add(k)
             penalty_cost += c.penalty
     return PathSolution(
         vertices=verts,

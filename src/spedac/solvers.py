@@ -20,6 +20,8 @@ from .core import Instance, PathSolution, evaluate
 INFINITY = math.inf
 LOCAL_SEARCH_POOL = 50  # k-shortest paths evaluated before the descent
 LOCAL_SEARCH_RESTARTS = 8  # perturbation kicks after the first descent
+LAGRANGE_ROUNDS = 40  # subgradient rounds for the B&B root multipliers
+LAGRANGE_PATIENCE = 2  # rounds without a better bound before the step halves
 
 
 class GuardExceededError(RuntimeError):
@@ -37,7 +39,7 @@ class SolveStatus(Enum):
     TIME_LIMIT = "TimeLimit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveReport:
     """Outcome of one solver run.
 
@@ -62,6 +64,7 @@ def dijkstra(
     target: Optional[int] = None,
     banned_vertices: frozenset[int] | set[int] = frozenset(),
     banned_arcs: frozenset[int] | set[int] = frozenset(),
+    weights: Optional[Sequence[int]] = None,
 ) -> tuple[list[float], list[Optional[int]]]:
     """Conflict-blind single-source shortest arc-cost distances.
 
@@ -73,17 +76,22 @@ def dijkstra(
     Unreachable vertices carry +infinity.  Arcs in banned_arcs and arcs
     leading into banned_vertices are skipped.  Given a target, the search
     stops once the target's distance is final; other entries may then
-    be provisional.
+    be provisional.  weights, indexed by arc, replaces the arc weights
+    (default instance.weights); it must be non-negative.
     """
     n = instance.vertex_count
-    arcs = instance.arcs
+    if weights is None:
+        weights = instance.weights
     if origin is None:
         origin = instance.sink if from_sink else instance.source
     dist: list[float] = [INFINITY] * n
     pred: list[Optional[int]] = [None] * n
     dist[origin] = 0
     heap: list[tuple[float, int]] = [(0, origin)]
-    neighbours = instance.incoming if from_sink else instance.outgoing
+    if from_sink:
+        neighbours, ends = instance.incoming, instance.tails
+    else:
+        neighbours, ends = instance.outgoing, instance.heads
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
@@ -91,9 +99,8 @@ def dijkstra(
         if u == target:
             break
         for a in neighbours[u]:
-            arc = arcs[a]
-            v = arc.tail if from_sink else arc.head
-            nd = d + arc.weight
+            v = ends[a]
+            nd = d + weights[a]
             if nd < dist[v] and v not in banned_vertices and a not in banned_arcs:
                 dist[v] = nd
                 pred[v] = a
@@ -204,6 +211,84 @@ def brute_force(
     )
 
 
+def _reduced_costs(instance: Instance, mu: Sequence[int]) -> list[int]:
+    # r_a = w_a - sum of the multipliers of the conflicts that mention a.
+    reduced = list(instance.weights)
+    for c, m in zip(instance.conflicts, mu):
+        reduced[c.arc_a] -= m
+        reduced[c.arc_b] -= m
+    return reduced
+
+
+def _conflict_multipliers(
+    instance: Instance,
+    first: tuple[list[float], list[Optional[int]]],
+    deadline: Optional[float],
+) -> tuple[list[int], list[float]]:
+    """Integer Lagrangian multipliers for the conflicts, by subgradient ascent.
+
+    Since p*|1 - x_a - x_b| >= mu*(1 - x_a - x_b) whenever |mu| <= p,
+    every mu_k in [-p_k, p_k] gives the lower bound
+        L(mu) = sum(mu) + SP+(source) + sum_a min(0, r_a)
+    with r the reduced costs of _reduced_costs and SP+ the shortest
+    distance under max(0, r).  Polyak steps toward the best path objective
+    seen, rounded to integers and clipped to [-p_k, p_k], run for
+    LAGRANGE_ROUNDS rounds; the step size halves after LAGRANGE_PATIENCE
+    rounds without a better bound, and the search stops early on a zero
+    subgradient or at the deadline.  first is the backward dijkstra at
+    mu = 0.  Returns the multipliers of the best bound and their backward
+    distances under max(0, r).
+    """
+    arcs = instance.arcs
+    weights = instance.weights
+    conflicts = instance.conflicts
+    source, sink = instance.source, instance.sink
+    mu = [0] * len(conflicts)
+    dist, pred = first
+    best, best_mu, best_dist = -INFINITY, mu, dist
+    target = INFINITY
+    scale = 1.0
+    stale = 0
+    for round_ in range(LAGRANGE_ROUNDS):
+        reduced = _reduced_costs(instance, mu)
+        if round_:
+            dist, pred = dijkstra(
+                instance, from_sink=True, weights=[r if r > 0 else 0 for r in reduced]
+            )
+        bound = sum(mu) + dist[source] + sum(r for r in reduced if r < 0)
+        # The relaxed solution uses the path and every negative arc.
+        chosen = [r < 0 for r in reduced]
+        path_arcs = set()
+        cost = 0
+        v = source
+        while v != sink:
+            a = pred[v]
+            path_arcs.add(a)
+            chosen[a] = True
+            cost += weights[a]
+            v = arcs[a].head
+        target = min(target, cost + sum(
+            c.penalty for c in conflicts
+            if (c.arc_a in path_arcs) == (c.arc_b in path_arcs)
+        ))
+        if bound > best:
+            best, best_mu, best_dist, stale = bound, mu, dist, 0
+        else:
+            stale += 1
+            if stale == LAGRANGE_PATIENCE:
+                scale, stale = scale / 2, 0
+        grad = [1 - chosen[c.arc_a] - chosen[c.arc_b] for c in conflicts]
+        norm = sum(g * g for g in grad)
+        if norm == 0 or (deadline is not None and time.perf_counter() > deadline):
+            break
+        step = max(1, round(scale * (target - bound) / norm))
+        mu = [
+            max(-c.penalty, min(c.penalty, m + step * g))
+            for m, g, c in zip(mu, grad, conflicts)
+        ]
+    return best_mu, best_dist
+
+
 def branch_and_bound(
     instance: Instance,
     time_limit: Optional[float] = None,
@@ -212,14 +297,31 @@ def branch_and_bound(
 ) -> SolveReport:
     """Depth-first branch-and-bound over simple path extensions.
 
-    The bound at a node is the partial arc cost, plus the penalties of
-    conflicts whose two arcs are both decided (an arc is decided-in when
-    it lies on the partial path, decided-out when its tail is a
-    non-endpoint path vertex or it was branched away), plus the
-    conflict-blind distance from the current vertex to the sink.  Nodes
-    are pruned when the bound reaches the incumbent.  Children are tried
-    by ascending arc weight plus distance-to-sink of the head, ties by
-    arc index, which makes the search deterministic.
+    An arc is decided-in when it lies on the partial path and decided-out
+    when its tail is a non-endpoint path vertex; every other arc is
+    undecided.  The root picks integer conflict multipliers mu (see
+    _conflict_multipliers) with reduced costs r; dist_mu is the distance
+    to the sink under max(0, r).  The bound at a node ending in v with
+    partial arc cost g is
+
+        g + committed + max(dist_sink[v],
+                            open_mu + dist_mu[v] + sum of min(0, r_a)
+                            over the undecided arcs a)
+
+    where committed is the penalty of the conflicts whose two arcs are
+    both decided and in the same state, open_mu the multiplier sum over
+    the other conflicts that have no arc on the path, and dist_sink the
+    conflict-blind distance to the sink.  Both terms of the max are
+    valid; at mu = 0 the second equals the first.  These sums, and the
+    penalty sum over the same conflicts as open_mu, are kept
+    incrementally, so a leaf's objective is g + committed + that penalty
+    sum; evaluate builds the PathSolution only on a strict improvement.
+    Out-arcs are excluded once per node and each child flips only its own
+    arc in and back out.  Nodes are pruned when the bound reaches the
+    incumbent.  Children are tried by ascending arc weight plus
+    distance-to-sink of the head, ties by arc index, which makes the
+    search deterministic; the incumbent is the first optimum in that
+    order, whatever the bound.
 
     The wall clock is consulted every 1024 nodes.  On a timeout the
     report carries the incumbent and a lower bound no larger than any
@@ -227,12 +329,12 @@ def branch_and_bound(
     """
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
-    dist_sink, _ = dijkstra(instance, from_sink=True)
+    dist_sink, pred_sink = dijkstra(instance, from_sink=True)
     source, sink = instance.source, instance.sink
     n = instance.vertex_count
     arcs = instance.arcs
+    weights = instance.weights
     conflicts = instance.conflicts
-    conf_of = instance.conflicts_of_arc
 
     if dist_sink[source] == INFINITY:
         return SolveReport(
@@ -245,16 +347,31 @@ def branch_and_bound(
             nodes_explored=0,
         )
 
+    mu, dist_mu = _conflict_multipliers(instance, (dist_sink, pred_sink), deadline)
+    negative = [min(0, r) for r in _reduced_costs(instance, mu)]
+    # partners[a]: (other arc, multiplier, penalty) per conflict of arc a.
+    partners: list[tuple[tuple[int, int, int], ...]] = [()] * len(arcs)
+    for c, m in zip(conflicts, mu):
+        partners[c.arc_a] += ((c.arc_b, m, c.penalty),)
+        partners[c.arc_b] += ((c.arc_a, m, c.penalty),)
+
+    heads = instance.heads
     order: list[tuple[int, ...]] = []
     for v in range(n):
         ranked = sorted(
             instance.outgoing[v],
-            key=lambda i: (arcs[i].weight + dist_sink[arcs[i].head], i),
+            key=lambda i: (weights[i] + dist_sink[heads[i]], i),
         )
         order.append(tuple(ranked))
+    conflicted = [tuple(a for a in order[v] if partners[a]) for v in range(n)]
+    negative_out = [sum(negative[a] for a in order[v]) for v in range(n)]
 
-    status = [0] * len(arcs)  # 0 undecided, 1 on path, 2 excluded
-    committed = 0  # penalty sum over decided conflict pairs
+    # 0 undecided, 1 on path, 2 excluded; kept for arcs in conflicts only.
+    status = [0] * len(arcs)
+    committed = 0  # penalties of decided conflicts: both arcs in or both out
+    open_mu = sum(mu)  # over conflicts not fully decided with no arc in
+    open_penalty = sum(c.penalty for c in conflicts)  # the same conflicts
+    negative_sum = sum(negative)  # over the undecided arcs
     on_path = [False] * n
     on_path[source] = True
     path = [source]
@@ -266,67 +383,82 @@ def branch_and_bound(
     open_lb: float = INFINITY  # min bound over subtrees abandoned at timeout
     timed_out = False
 
-    def decide(a: int, st: int) -> int:
-        # Marks arc a and charges every conflict this decision completes.
-        nonlocal committed
-        status[a] = st
-        delta = 0
-        for k in conf_of[a]:
-            c = conflicts[k]
-            other = c.arc_b if c.arc_a == a else c.arc_a
-            if status[other] and status[other] == st:
-                delta += c.penalty
-        committed += delta
-        return delta
+    def exclude(a: int, sign: int) -> None:
+        # Moves arc a from undecided to out (sign 1) or back (sign -1).
+        nonlocal committed, open_mu, open_penalty
+        status[a] = 2 if sign > 0 else 0
+        for b, m, p in partners[a]:
+            if status[b] == 2:
+                open_mu -= sign * m
+                open_penalty -= sign * p
+                committed += sign * p
 
-    def undo(decisions: list[tuple[int, int]]) -> None:
-        nonlocal committed
-        for a, delta in reversed(decisions):
-            committed -= delta
-            status[a] = 0
+    def flip(a: int, sign: int) -> None:
+        # Moves arc a from out to in (sign 1) or back (sign -1).
+        nonlocal committed, open_mu, open_penalty
+        status[a] = 1 if sign > 0 else 2
+        for b, m, p in partners[a]:
+            other = status[b]
+            if other == 0:
+                open_mu -= sign * m
+                open_penalty -= sign * p
+            elif other == 1:
+                committed += sign * p
+            else:
+                committed -= sign * p
 
-    def visit(u: int, g: int) -> None:
-        nonlocal nodes, best, ub, best_at, timed_out, open_lb
+    def visit(u: int, g: int, bound: int) -> None:
+        nonlocal nodes, best, ub, best_at, timed_out, open_lb, negative_sum
         nodes += 1
         if deadline is not None and nodes % 1024 == 0 and time.perf_counter() > deadline:
             timed_out = True
-        bound = g + committed + dist_sink[u]
         if on_node is not None:
             on_node(tuple(path), bound)
         if timed_out:
             open_lb = min(open_lb, bound)
             return
         if u == sink:
-            sol = evaluate(instance, path)
-            if sol.objective < ub:
-                best, ub = sol, sol.objective
+            if g + committed + open_penalty < ub:
+                best = evaluate(instance, path)
+                ub = best.objective
                 best_at = time.perf_counter() - start
                 if on_incumbent is not None:
-                    on_incumbent(sol)
+                    on_incumbent(best)
             return
+        for a in conflicted[u]:
+            exclude(a, 1)
+        negative_sum -= negative_out[u]
         for a in order[u]:
-            v = arcs[a].head
+            v = heads[a]
             if on_path[v]:
                 continue
-            decisions = [(a, decide(a, 1))]
-            for b in order[u]:
-                if b != a and status[b] == 0:
-                    decisions.append((b, decide(b, 2)))
-            child_bound = g + arcs[a].weight + committed + dist_sink[v]
-            if child_bound >= ub:
-                undo(decisions)
-                continue
-            on_path[v] = True
-            path.append(v)
-            visit(v, g + arcs[a].weight)
-            path.pop()
-            on_path[v] = False
-            undo(decisions)
+            if partners[a]:
+                flip(a, 1)
+            child_g = g + weights[a]
+            rest = open_mu + dist_mu[v] + negative_sum
+            if rest < dist_sink[v]:
+                rest = dist_sink[v]
+            child_bound = child_g + committed + rest
+            if child_bound < ub:
+                on_path[v] = True
+                path.append(v)
+                visit(v, child_g, child_bound)
+                path.pop()
+                on_path[v] = False
+            if partners[a]:
+                flip(a, -1)
             if timed_out:
                 open_lb = min(open_lb, bound)
-                return
+                break
+        negative_sum += negative_out[u]
+        for a in reversed(conflicted[u]):
+            exclude(a, -1)
 
-    visit(source, 0)
+    root_bound = max(dist_sink[source], open_mu + dist_mu[source] + negative_sum)
+    try:
+        visit(source, 0, root_bound)
+    finally:
+        visit = None  # the closure refers to itself; break the cycle
     total = time.perf_counter() - start
     if best is None:
         # dist_sink[source] is finite, so only a timeout can land here.

@@ -47,6 +47,18 @@ def build_golden(penalty: int = 10) -> Instance:
     )
 
 
+def build_chain(n: int) -> Instance:
+    """Path graph 0 -> 1 -> ... -> n-1 with one both-used conflict."""
+    arcs = tuple(ArcRecord(i, i + 1, 1 + i % 7) for i in range(n - 1))
+    return Instance(
+        vertex_count=n,
+        arcs=arcs,
+        conflicts=(ConflictRecord(0, n - 2, 9),),
+        source=0,
+        sink=n - 1,
+    )
+
+
 def permutation_paths(instance: Instance) -> set[tuple[int, ...]]:
     """Simple source-sink paths found by brute permutation of the inner
     vertices; an enumerator independent of the package's DFS."""
@@ -78,3 +90,8 @@ def golden_builder():
 @pytest.fixture
 def permutation_enumerator():
     return permutation_paths
+
+
+@pytest.fixture
+def chain_builder():
+    return build_chain

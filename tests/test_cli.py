@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -171,6 +173,14 @@ def test_solve_brute_guard_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_bb_too_deep_for_the_recursion_exits_3(tmp_path, capsys, chain_builder):
+    path = tmp_path / "chain.spedac"
+    save_instance(chain_builder(1500), path)
+    code = main(["solve", str(path), "--method", "bb"])
+    assert code == 3
+    assert "recursion" in capsys.readouterr().err
+
+
 def test_solve_missing_file_exits_2(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "absent.spedac")])
     assert code == 2
@@ -212,6 +222,25 @@ def test_bench_writes_csv(tmp_path, capsys, golden):
     assert lines[1].startswith("set,method,instance,status")
     assert any(",bb," in line and "Optimal" in line for line in lines)
     assert any(",heur," in line and "Feasible" in line for line in lines)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_bench_survives_a_recursion_error(tmp_path, capsys, golden, chain_builder, workers):
+    bench_dir = tmp_path / "set"
+    bench_dir.mkdir()
+    save_instance(golden, bench_dir / "random_n7_d0.29_r0.045_p10-10_s0.spedac")
+    save_instance(chain_builder(1500), bench_dir / "chain_n1500.spedac")
+    out = tmp_path / "report.csv"
+    code = main([
+        "bench", str(bench_dir), "--method", "bb", "--workers", workers,
+        "--out", str(out), "--no-timing",
+    ])
+    assert code == 0
+    text = out.read_text(encoding="ascii")
+    rows = {r["instance"]: r for r in csv.DictReader(io.StringIO(text.split("\n", 1)[1]))}
+    assert rows["chain_n1500.spedac"]["status"].startswith("RecursionError: ")
+    assert rows["chain_n1500.spedac"]["UB"] == ""
+    assert rows["random_n7_d0.29_r0.045_p10-10_s0.spedac"]["status"] == "Optimal"
 
 
 # --- validate -------------------------------------------------------------

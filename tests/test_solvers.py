@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import random
@@ -10,11 +11,11 @@ import pytest
 
 from spedac import (
     ArcRecord,
-    ConflictRecord,
     GapUndefinedError,
     GuardExceededError,
     Instance,
     RandomConfig,
+    SmallWorldConfig,
     SolveStatus,
     branch_and_bound,
     brute_force,
@@ -22,6 +23,7 @@ from spedac import (
     enumerate_simple_paths,
     evaluate,
     generate_random,
+    generate_small_world,
     k_shortest_paths,
     local_search,
     optimality_gap,
@@ -29,18 +31,6 @@ from spedac import (
 )
 
 INFINITY = math.inf
-
-
-def _chain(n: int) -> Instance:
-    """Path graph 0 -> 1 -> ... -> n-1 with one both-used conflict."""
-    arcs = tuple(ArcRecord(i, i + 1, 1 + i % 7) for i in range(n - 1))
-    return Instance(
-        vertex_count=n,
-        arcs=arcs,
-        conflicts=(ConflictRecord(0, n - 2, 9),),
-        source=0,
-        sink=n - 1,
-    )
 
 
 def _sweep_instances(counts=(6, 8, 10), densities=(0.2, 0.4), seeds=range(4)):
@@ -178,8 +168,8 @@ def test_brute_force_golden(golden):
     assert report.nodes_explored == 12
 
 
-def test_brute_force_walks_a_long_chain():
-    chain = _chain(1500)
+def test_brute_force_walks_a_long_chain(chain_builder):
+    chain = chain_builder(1500)
     report = brute_force(chain)
     assert report.status is SolveStatus.OPTIMAL
     assert report.nodes_explored == 1
@@ -216,8 +206,8 @@ def test_branch_and_bound_golden(golden):
     raises=RecursionError,
     reason="branch_and_bound's depth-first walk is recursive",
 )
-def test_branch_and_bound_walks_a_long_chain():
-    chain = _chain(1500)
+def test_branch_and_bound_walks_a_long_chain(chain_builder):
+    chain = chain_builder(1500)
     report = branch_and_bound(chain)
     assert report.status is SolveStatus.OPTIMAL
     assert report.upper_bound == evaluate(chain, range(1500)).objective
@@ -264,10 +254,25 @@ def test_branch_and_bound_is_deterministic(golden):
     assert first.nodes_explored == second.nodes_explored
 
 
+def _admissibility_instances():
+    # The sweep plus small-world lattices and random instances whose
+    # weights in 0..5 against penalties up to 20 drive some reduced costs
+    # w - sum(mu) below zero, which the bound prices separately.
+    out = _sweep_instances(counts=(6, 8), seeds=range(2))
+    for seed in range(4):
+        out.append(generate_random(RandomConfig(
+            n=9, d=0.4, r=0.05, weight_range=(0, 5), penalty_range=(1, 20), seed=seed
+        )))
+        out.append(generate_small_world(SmallWorldConfig(
+            n=8, k=0.4, r=0.08, penalty_range=(1, 20), seed=seed
+        )))
+    return out
+
+
 def test_branch_and_bound_bounds_are_admissible():
     # Every node bound must lower-bound the best completion of its
     # partial path, established here against the exhaustive oracle.
-    for instance in _sweep_instances(counts=(6, 8), seeds=range(2)):
+    for instance in _admissibility_instances():
         completions: dict[tuple[int, ...], int] = {}
         for verts in enumerate_simple_paths(instance):
             objective = evaluate(instance, verts).objective
@@ -280,11 +285,62 @@ def test_branch_and_bound_bounds_are_admissible():
 
         def check(prefix, bound):
             seen.append(prefix)
+            assert isinstance(bound, int)
             if prefix in completions:
                 assert bound <= completions[prefix]
 
-        branch_and_bound(instance, on_node=check)
+        report = branch_and_bound(instance, on_node=check)
         assert seen, "instrumentation hook never fired"
+        assert report.upper_bound == completions[(instance.source,)]
+
+
+def test_branch_and_bound_leaves_no_cyclic_garbage(golden, chain_builder):
+    # The recursive walk's closure refers to itself; a returned or failed
+    # solve must not leave that cycle (and on failure every frame of the
+    # walk) to the cyclic collector.
+    chain = chain_builder(1500)
+    gc.collect()
+    gc.disable()
+    try:
+        branch_and_bound(golden)
+        assert gc.collect() == 0
+        try:
+            branch_and_bound(chain)
+        except RecursionError:
+            pass
+        else:
+            pytest.fail("the walk no longer recurses: drop this failure case")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_PINNED_BB = [
+    (
+        RandomConfig(n=30, d=0.15, r=1e-3, seed=1042),
+        (383, 282, 301, (0, 13, 8, 21, 16, 1, 25, 5, 29)),
+    ),
+    (
+        SmallWorldConfig(n=30, k=0.2, r=1e-3, seed=1322),
+        (230, 16, 217, (0, 23, 5, 7, 12, 15, 28, 29)),
+    ),
+]
+
+
+@pytest.mark.parametrize("config, expected", _PINNED_BB)
+def test_branch_and_bound_is_pinned(config, expected):
+    # (optimum, nodes, root bound, incumbent); the node count and the root
+    # bound move with the bound or the multiplier schedule, the optimum
+    # and the incumbent (the first optimum in child order) must not.
+    generate = generate_random if isinstance(config, RandomConfig) else generate_small_world
+    roots = []
+    report = branch_and_bound(
+        generate(config), on_node=lambda path, bound: roots.append(bound)
+    )
+    assert report.status is SolveStatus.OPTIMAL
+    assert (
+        report.upper_bound, report.nodes_explored, roots[0], report.incumbent.vertices
+    ) == expected
 
 
 def test_branch_and_bound_incumbents_improve_strictly(golden):
