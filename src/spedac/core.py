@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Container, Iterable, Sequence, Union
 
 
 class InvariantError(ValueError):
@@ -158,6 +158,16 @@ class Instance:
         return tuple(tuple(x) for x in inc)
 
     @cached_property
+    def conflict_indices(self) -> tuple[int, ...]:
+        """0 .. len(conflicts)-1; every violated_conflicts set shares these objects."""
+        return tuple(range(len(self.conflicts)))
+
+    @cached_property
+    def penalty_total(self) -> int:
+        """Sum of all conflict penalties: the penalty of a path using no conflict arc."""
+        return sum(c.penalty for c in self.conflicts)
+
+    @cached_property
     def conflicts_of_arc(self) -> tuple[tuple[int, ...], ...]:
         """Conflict indices that mention each arc."""
         table: list[list[int]] = [[] for _ in self.arcs]
@@ -246,20 +256,42 @@ def evaluate(instance: Instance, path: Sequence[int]) -> PathSolution:
             raise MalformedPathError(f"no arc ({tail}, {head}) in the instance")
         arc_ids.append(idx)
         arc_cost += instance.arcs[idx].weight
-    used = set(arc_ids)
-    violated = set()  # frozenset() sizes its table from a set's count
-    penalty_cost = 0
-    for k, c in enumerate(instance.conflicts):
-        if (c.arc_a in used) == (c.arc_b in used):
-            violated.add(k)
-            penalty_cost += c.penalty
+    satisfied, relief = satisfied_conflicts(instance, set(arc_ids), arc_ids)
+    # Every conflict without exactly one arc on the path is violated.  The
+    # set holds the instance's shared index objects, and frozenset() sizes
+    # its table from the set's count.
+    violated = set(instance.conflict_indices)
+    violated -= satisfied
     return PathSolution(
         vertices=verts,
         arc_indices=tuple(arc_ids),
         arc_cost=arc_cost,
-        penalty_cost=penalty_cost,
+        penalty_cost=instance.penalty_total - relief,
         violated_conflicts=frozenset(violated),
     )
+
+
+def satisfied_conflicts(
+    instance: Instance, used: Container[int], arcs: Iterable[int]
+) -> tuple[set[int], int]:
+    """Conflicts mentioning one of arcs that have exactly one arc in used.
+
+    Returns their indices and their penalty sum.  A path's penalty is
+    instance.penalty_total minus that sum over the path's own arcs, and a
+    change of arcs moves it only through the conflicts of the arcs that
+    change.
+    """
+    conflicts = instance.conflicts
+    table = instance.conflicts_of_arc
+    found: set[int] = set()
+    relief = 0
+    for a in arcs:
+        for k in table[a]:
+            c = conflicts[k]
+            if (c.arc_a in used) != (c.arc_b in used) and k not in found:
+                found.add(k)
+                relief += c.penalty
+    return found, relief
 
 
 def incidence_from_path(instance: Instance, solution: PathSolution) -> IncidenceVector:

@@ -13,9 +13,10 @@ import random
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
-from .core import Instance, PathSolution, evaluate
+from .core import Instance, PathSolution, evaluate, satisfied_conflicts
 
 INFINITY = math.inf
 LOCAL_SEARCH_POOL = 50  # k-shortest paths evaluated before the descent
@@ -499,16 +500,23 @@ def k_shortest_paths(instance: Instance, k: int) -> list[tuple[int, tuple[int, .
     the full objective.  Deterministic: candidate ties break on the
     vertex tuple.
     """
+    return list(islice(_yen(instance), max(k, 0)))
+
+
+def _yen(instance: Instance) -> Iterator[tuple[int, tuple[int, ...]]]:
+    # Yen's paths in order, each (arc cost, vertices); the next path is
+    # computed only when asked for, so a consumer can stop at a deadline.
     sink = instance.sink
     dist, pred = dijkstra(instance, target=sink)
     first = _path(instance, pred, instance.source, sink)
     if first is None:
-        return []
+        return
     found: list[tuple[int, tuple[int, ...]]] = [(dist[sink], first)]
     seen = {first}
     candidates: list[tuple[int, tuple[int, ...]]] = []
     lookup = instance.arc_index
-    while len(found) < k:
+    while True:
+        yield found[-1]
         _, prev = found[-1]
         root_cost = 0
         for i in range(len(prev) - 1):
@@ -532,9 +540,80 @@ def k_shortest_paths(instance: Instance, k: int) -> list[tuple[int, tuple[int, .
                     heapq.heappush(candidates, (total, full))
             root_cost += instance.arcs[lookup[(prev[i], prev[i + 1])]].weight
         if not candidates:
-            break
+            return
         found.append(heapq.heappop(candidates))
-    return found
+
+
+def _detours(
+    instance: Instance, p: tuple[int, ...], i: int
+) -> Iterator[tuple[int, list[int]]]:
+    """Cheapest p[i] -> p[j] routes through no vertex of p[:i] or p[j+1:].
+
+    Yields (j, arcs) in ascending j for every j > i whose route is not
+    p[i..j] itself: the route that a dijkstra from p[i] with target p[j]
+    and those vertices banned returns.  One dijkstra from p[i] with only
+    p[:i] banned serves every j whose tree route avoids p[j+1:]; the
+    masked search gives each vertex of that route the same distance and
+    predecessor.  (Equal distances are settled in vertex-id order among
+    the queued vertices; more bans only take vertices away or queue them
+    later, and a vertex whose tree route avoids the bans is queued by the
+    same predecessor, so no rival is settled ahead of it.)  A j whose
+    tree route enters p[j+1:] falls back to the masked search.  Every
+    p[j] is reachable along p itself.
+    """
+    tails = instance.tails
+    origin = p[i]
+    banned = set(p[:i])
+    _, pred = dijkstra(instance, origin=origin, banned_vertices=banned)
+    position = {v: k for k, v in enumerate(p)}
+    along = True  # the tree route to p[j] is p[i..j]
+    for j in range(i + 1, len(p)):
+        target = p[j]
+        along = along and tails[pred[target]] == p[j - 1]
+        if along:
+            continue
+        arcs = []
+        v = target
+        while v != origin:
+            a = pred[v]
+            arcs.append(a)
+            v = tails[a]
+            if position.get(v, -1) > j:
+                break
+        else:
+            arcs.reverse()
+            yield j, arcs
+            continue
+        _, came_by = dijkstra(
+            instance, origin=origin, target=target,
+            banned_vertices=banned.union(p[j + 1:]),
+        )
+        route = _path(instance, came_by, origin, target)
+        if route != p[i: j + 1]:
+            yield j, [came_by[v] for v in route[1:]]
+
+
+def _detour_objective(
+    instance: Instance, sol: PathSolution, used: set[int], i: int, j: int,
+    alt: Sequence[int],
+) -> int:
+    """Objective of sol with its arcs i..j-1 replaced by the arcs alt.
+
+    used is set(sol.arc_indices).  Only the arcs that leave or enter the
+    path are priced (a detour often rejoins p before p[j], and the arcs
+    it keeps cancel out): their weights and the conflicts that mention
+    them, through the same satisfied_conflicts that evaluate sums.
+    """
+    weights = instance.weights
+    after = used.difference(sol.arc_indices[i:j])
+    after.update(alt)
+    changed = used.symmetric_difference(after)
+    return (
+        sol.objective
+        + sum(weights[a] if a in after else -weights[a] for a in changed)
+        + satisfied_conflicts(instance, used, changed)[1]
+        - satisfied_conflicts(instance, after, changed)[1]
+    )
 
 
 def local_search(
@@ -549,9 +628,12 @@ def local_search(
     objective.  LOCAL_SEARCH_RESTARTS seeded perturbation restarts escape
     local optima.  The reported lower bound is the conflict-blind
     shortest distance; the status is always FEASIBLE when the sink is
-    reachable since no optimality is proven.  The schedule is
-    iteration-bounded, so results with a fixed seed do not depend on the
-    clock unless the time limit trips.
+    reachable since no optimality is proven.  nodes_explored counts the
+    paths priced: pool paths, detours (see _detours) and perturbations.
+    The schedule is iteration-bounded, so results with a fixed seed do
+    not depend on the clock unless the time limit trips; the limit is
+    checked between pool paths and after each start vertex of a descent
+    step.
     """
     start = time.perf_counter()
     deadline = None if time_limit is None else start + time_limit
@@ -571,6 +653,7 @@ def local_search(
             nodes_explored=0,
         )
     lb = dist[instance.sink]
+    heads = instance.heads
 
     evaluated = 0
     best: Optional[PathSolution] = None
@@ -595,22 +678,23 @@ def local_search(
         return _path(instance, came_by, origin, target)
 
     def best_detour(sol: PathSolution) -> Optional[PathSolution]:
-        # Best strict improvement over every (i, j) subpath replacement.
+        # Best strict improvement over every (i, j) subpath replacement,
+        # the first found on ties; each candidate is priced by its delta.
+        nonlocal evaluated
         p = sol.vertices
-        winner: Optional[PathSolution] = None
+        used = set(sol.arc_indices)
+        target = sol.objective
+        winner: Optional[tuple[int, ...]] = None
         for i in range(len(p) - 1):
-            for j in range(i + 1, len(p)):
-                alt = route(p[i], p[j], set(p[:i]) | set(p[j + 1:]))
-                if alt is None or alt == p[i: j + 1]:
-                    continue
-                cand = assess(p[:i] + alt + p[j + 1:])
-                if cand.objective < sol.objective and (
-                    winner is None or cand.objective < winner.objective
-                ):
-                    winner = cand
+            for j, alt in _detours(instance, p, i):
+                evaluated += 1
+                objective = _detour_objective(instance, sol, used, i, j, alt)
+                if objective < target:
+                    target = objective
+                    winner = (*p[: i + 1], *(heads[a] for a in alt), *p[j + 1:])
             if out_of_time():
-                return winner
-        return winner
+                break
+        return None if winner is None else evaluate(instance, winner)
 
     def descend(sol: PathSolution) -> PathSolution:
         while not out_of_time():
@@ -640,7 +724,7 @@ def local_search(
         return None
 
     consider(assess(_path(instance, pred, instance.source, instance.sink)))
-    for _, verts in k_shortest_paths(instance, LOCAL_SEARCH_POOL):
+    for _, verts in islice(_yen(instance), LOCAL_SEARCH_POOL):
         if out_of_time():
             break
         consider(assess(verts))

@@ -72,6 +72,27 @@ def test_evaluate_cheapest_path_pays_one_penalty(golden):
     assert sol.objective == 15
 
 
+def test_evaluate_matches_a_scan_of_every_conflict():
+    # evaluate prices only the conflicts of the path's arcs; the
+    # definition scans them all.
+    for seed in range(4):
+        instance = generate_random(
+            RandomConfig(n=9, d=0.5, r=0.02, penalty_range=(1, 20), seed=seed)
+        )
+        shared = {id(k) for k in instance.conflict_indices}
+        for verts in enumerate_simple_paths(instance):
+            sol = evaluate(instance, verts)
+            used = set(sol.arc_indices)
+            violated = {
+                k for k, c in enumerate(instance.conflicts)
+                if (c.arc_a in used) == (c.arc_b in used)
+            }
+            assert sol.violated_conflicts == violated
+            assert sol.penalty_cost == sum(instance.conflicts[k].penalty for k in violated)
+            assert all(id(k) in shared for k in sol.violated_conflicts)
+    assert instance.penalty_total == sum(c.penalty for c in instance.conflicts)
+
+
 def test_evaluate_rejects_malformed_paths(golden):
     with pytest.raises(MalformedPathError, match="source"):
         evaluate(golden, (1, 3, 4, 6))

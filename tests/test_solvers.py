@@ -6,6 +6,7 @@ import gc
 import hashlib
 import math
 import random
+import time
 
 import pytest
 
@@ -29,6 +30,8 @@ from spedac import (
     optimality_gap,
     shortest_path_vertices,
 )
+from spedac import solvers
+from spedac.solvers import _detour_objective, _detours
 
 INFINITY = math.inf
 
@@ -415,6 +418,97 @@ def test_local_search_infeasible():
     assert report.incumbent is None
 
 
+def test_local_search_deadline_covers_the_candidate_pool():
+    # The 50-path Yen pool alone takes about a second here.
+    instance = generate_random(RandomConfig(n=1000, d=0.01, r=1e-4, seed=0))
+    start = time.perf_counter()
+    report = local_search(instance, time_limit=0.2)
+    assert time.perf_counter() - start <= 0.2 + 0.25
+    assert report.status is SolveStatus.FEASIBLE
+    assert report.upper_bound == evaluate(instance, report.incumbent.vertices).objective
+
+
+def _detour_instances():
+    # Zero weights and the beta = 0 ring lattice make equal-distance ties.
+    return [
+        generate_random(RandomConfig(
+            n=25, d=0.2, r=1e-3, weight_range=(0, 5), penalty_range=(1, 20), seed=s
+        ))
+        for s in range(2)
+    ] + [
+        generate_small_world(SmallWorldConfig(
+            n=40, k=0.1, beta=0.0, r=2e-3, weight_range=(0, 3), seed=s
+        ))
+        for s in range(2)
+    ] + [
+        generate_random(RandomConfig(n=40, d=0.1, r=1e-3, seed=3)),
+        generate_small_world(SmallWorldConfig(n=60, k=0.05, beta=0.0, r=1e-3, seed=3)),
+    ]
+
+
+def _detour_paths(instance):
+    # A few Yen paths plus the local-search incumbent, as evaluated solutions.
+    paths = [verts for _, verts in k_shortest_paths(instance, 4)]
+    paths.append(local_search(instance).incumbent.vertices)
+    return [evaluate(instance, verts) for verts in paths]
+
+
+def _masked_detours(instance, sol, i):
+    # Reference: one masked dijkstra per (i, j).
+    p = sol.vertices
+    found = []
+    for j in range(i + 1, len(p)):
+        _, pred = dijkstra(
+            instance, origin=p[i], target=p[j],
+            banned_vertices=set(p[:i]) | set(p[j + 1:]),
+        )
+        arcs = []
+        v = p[j]
+        while v != p[i]:
+            arcs.append(pred[v])
+            v = instance.arcs[pred[v]].tail
+        arcs.reverse()
+        if tuple(arcs) != sol.arc_indices[i:j]:
+            found.append((j, arcs))
+    return found
+
+
+def test_detour_routes_match_the_masked_reference(monkeypatch):
+    fallbacks = 0
+    searches = solvers.dijkstra
+
+    def counted(*args, **kwargs):
+        nonlocal fallbacks
+        fallbacks += kwargs.get("target") is not None
+        return searches(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "dijkstra", counted)
+    for instance in _detour_instances():
+        for sol in _detour_paths(instance):
+            for i in range(len(sol.vertices) - 1):
+                assert list(_detours(instance, sol.vertices, i)) == _masked_detours(
+                    instance, sol, i
+                )
+    assert fallbacks > 0, "no route entered the later path; the fallback went untested"
+
+
+def test_detour_objective_matches_evaluate():
+    priced = 0
+    for instance in _detour_instances():
+        heads = instance.heads
+        for sol in _detour_paths(instance):
+            p = sol.vertices
+            used = set(sol.arc_indices)
+            for i in range(len(p) - 1):
+                for j, alt in _detours(instance, p, i):
+                    moved = (*p[: i + 1], *(heads[a] for a in alt), *p[j + 1:])
+                    assert _detour_objective(instance, sol, used, i, j, alt) == (
+                        evaluate(instance, moved).objective
+                    )
+                    priced += 1
+    assert priced >= 100
+
+
 # --- k shortest paths -----------------------------------------------------
 
 def test_k_shortest_paths_covers_everything(golden):
@@ -426,6 +520,11 @@ def test_k_shortest_paths_covers_everything(golden):
     assert {verts for _, verts in ranked} == set(enumerate_simple_paths(golden))
     for cost, verts in ranked:
         assert evaluate(golden, verts).arc_cost == cost
+
+
+def test_k_shortest_paths_of_none_is_empty(golden):
+    assert k_shortest_paths(golden, 0) == []
+    assert k_shortest_paths(golden, 1) == [(5, (0, 2, 1, 3, 6))]
 
 
 def test_k_shortest_paths_prefix():
@@ -468,6 +567,52 @@ def test_k_shortest_paths_are_pinned(config, costs, digest, _):
 @pytest.mark.parametrize("config, _, __, expected", _PINNED_N60)
 def test_local_search_is_pinned(config, _, __, expected):
     report = local_search(generate_random(config))
+    assert (
+        report.upper_bound, report.nodes_explored, report.incumbent.vertices
+    ) == expected
+
+
+# Recorded with the per-pair masked-Dijkstra descent, before detours were
+# routed from one search per start vertex and priced by their delta.
+_PINNED_FAMILIES = [
+    (
+        RandomConfig(n=100, d=0.1, r=1e-3, seed=1007), 0,
+        (33183, 2361, (0, 42, 68, 82, 36, 17, 43, 94, 53, 25, 72, 92, 41,
+                       67, 64, 19, 35, 1, 63, 51, 11, 84, 79, 46, 99)),
+    ),
+    (
+        RandomConfig(n=200, d=0.05, r=1e-4, seed=1007), 0,
+        (13382, 3628, (0, 107, 39, 3, 38, 102, 100, 98, 70, 133, 43, 162, 78,
+                       140, 10, 127, 2, 34, 25, 45, 108, 106, 164, 193, 199)),
+    ),
+    (
+        SmallWorldConfig(n=100, k=0.1, r=1e-3, seed=1005), 0,
+        (5057, 1188, (0, 16, 41, 42, 46, 3, 20, 22, 96, 80, 84, 81, 76, 92,
+                      95, 99)),
+    ),
+    (
+        SmallWorldConfig(n=120, k=0.04, beta=0.0, r=1e-3, seed=1001), 0,
+        (1300, 1423, (0, 1, 119)),
+    ),
+    (
+        RandomConfig(n=25, d=0.2, r=1e-3, weight_range=(0, 5),
+                     penalty_range=(1, 20), seed=7), 7,
+        (24, 941, (0, 18, 22, 4, 6, 2, 14, 10, 9, 12, 5, 1, 19, 24)),
+    ),
+    (
+        SmallWorldConfig(n=60, k=0.05, beta=0.0, r=1e-3, seed=3), 3,
+        (284, 1626, (0, 59)),
+    ),
+]
+
+
+@pytest.mark.parametrize("config, seed, expected", _PINNED_FAMILIES)
+def test_local_search_is_pinned_across_families(config, seed, expected):
+    if isinstance(config, RandomConfig):
+        instance = generate_random(config)
+    else:
+        instance = generate_small_world(config)
+    report = local_search(instance, seed=seed)
     assert (
         report.upper_bound, report.nodes_explored, report.incumbent.vertices
     ) == expected
