@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .core import (  # noqa: F401
     ArcRecord,
     ConflictRecord,
-    IncidenceVector,
     Instance,
     InvariantError,
     MalformedPathError,
@@ -19,8 +18,6 @@ from .core import (  # noqa: F401
     SelectionViolation,
     conflict_penalty_term,
     evaluate,
-    incidence_from_path,
-    objective_from_incidence,
     validate_selection,
 )
 from .generators import (  # noqa: F401

@@ -51,6 +51,19 @@ from .solvers import (
 DEFAULT_TIME_LIMIT = 1800.0
 
 
+def _time_limit(text: str) -> float:
+    # NaN would defeat every deadline check; inf is a valid "no limit".
+    try:
+        value = float(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"time limit must be a non-negative number of seconds, got {text!r}"
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spedac",
@@ -86,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("instance", type=Path)
     p.add_argument("--method", choices=METHODS, default="bb")
-    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
+    p.add_argument("--time-limit", type=_time_limit, default=DEFAULT_TIME_LIMIT,
                    help="seconds (default 1800)")
     p.add_argument("--seed", type=int, default=0, help="heuristic seed")
     p.add_argument("--no-timing", action="store_true",
@@ -102,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory", type=Path)
     p.add_argument("--method", choices=METHODS, action="append",
                    help="solver to run (repeatable; default bb)")
-    p.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT)
+    p.add_argument("--time-limit", type=_time_limit, default=DEFAULT_TIME_LIMIT)
     p.add_argument("--out", type=Path, required=True, help="output CSV file")
     p.add_argument("--workers", type=int, default=1,
                    help="parallel worker processes (default 1)")

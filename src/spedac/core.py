@@ -193,18 +193,6 @@ class PathSolution:
 
 
 @dataclass(frozen=True)
-class IncidenceVector:
-    """Binary arc flags plus the linked conflict-activation flags.
-
-    ``penalty_flags[k]`` is the AND of the two arc flags of conflict k,
-    which is exactly the value the linearised model forces.
-    """
-
-    arc_flags: tuple[int, ...]
-    penalty_flags: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SelectionViolation:
     """Structured rejection from validate_selection.
 
@@ -292,35 +280,6 @@ def satisfied_conflicts(
                 found.add(k)
                 relief += c.penalty
     return found, relief
-
-
-def incidence_from_path(instance: Instance, solution: PathSolution) -> IncidenceVector:
-    """Arc flags of a path plus the implied conflict-activation flags."""
-    flags = [0] * len(instance.arcs)
-    for idx in solution.arc_indices:
-        flags[idx] = 1
-    penalty_flags = tuple(
-        flags[c.arc_a] * flags[c.arc_b] for c in instance.conflicts
-    )
-    return IncidenceVector(arc_flags=tuple(flags), penalty_flags=penalty_flags)
-
-
-def objective_from_incidence(instance: Instance, vector: IncidenceVector) -> int:
-    """Objective value of an incidence vector under the linearised form.
-
-    Sum of weight*flag over arcs plus, per conflict,
-    penalty * (2y - x_a - x_b + 1) with y the activation flag.
-    """
-    if len(vector.arc_flags) != len(instance.arcs):
-        raise ValueError("arc flag count does not match the instance")
-    if len(vector.penalty_flags) != len(instance.conflicts):
-        raise ValueError("penalty flag count does not match the instance")
-    total = sum(w * x for w, x in zip((a.weight for a in instance.arcs), vector.arc_flags))
-    for c, y in zip(instance.conflicts, vector.penalty_flags):
-        x_a = vector.arc_flags[c.arc_a]
-        x_b = vector.arc_flags[c.arc_b]
-        total += c.penalty * (2 * y - x_a - x_b + 1)
-    return total
 
 
 def validate_selection(

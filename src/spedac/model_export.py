@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from . import __version__
-from .core import Instance, PathSolution, incidence_from_path
+from .core import Instance, PathSolution, SelectionViolation, validate_selection
 from .instance_io import render_instance
 
 Number = Union[int, Fraction]
@@ -242,25 +242,25 @@ def verify_model_at_point(
     return objective, violated
 
 
-def induced_assignment(
-    instance: Instance, solution: PathSolution, sec_mode: str = "mtz"
-) -> dict[str, int]:
+def induced_assignment(instance: Instance, solution: PathSolution) -> dict[str, int]:
     """The assignment a path induces on the exported model's variables.
 
     x flags arcs on the path, y is the AND of each conflict's arc flags,
-    u numbers path vertices by visit order (off-path vertices sit at 0),
-    and the constant variable is 1.
+    u numbers path vertices by visit order (off-path vertices sit at 0;
+    an omit-mode model has no u, and the verifier ignores it), and the
+    constant variable is 1.
     """
+    flags = [0] * len(instance.arcs)
+    for idx in solution.arc_indices:
+        flags[idx] = 1
     values: dict[str, int] = {CONSTANT_VAR: 1}
-    flags = incidence_from_path(instance, solution)
-    for arc, x in zip(instance.arcs, flags.arc_flags):
+    for arc, x in zip(instance.arcs, flags):
         values[f"x_{arc.tail}_{arc.head}"] = x
-    for k, y in enumerate(flags.penalty_flags):
-        values[f"y_{k}"] = y
-    if sec_mode == "mtz":
-        position = {v: i for i, v in enumerate(solution.vertices)}
-        for v in range(instance.vertex_count):
-            values[f"u_{v}"] = position.get(v, 0)
+    for k, c in enumerate(instance.conflicts):
+        values[f"y_{k}"] = flags[c.arc_a] * flags[c.arc_b]
+    position = {v: i for i, v in enumerate(solution.vertices)}
+    for v in range(instance.vertex_count):
+        values[f"u_{v}"] = position.get(v, 0)
     return values
 
 
@@ -320,32 +320,20 @@ class CircuitForm:
     def is_circuit(
         self, arc_flags: Sequence[int], loop_flags: Sequence[int]
     ) -> bool:
-        """True when real arcs + artificial arc form one covering cycle."""
-        instance = self.instance
-        looped = {
-            v for v, flag in zip(self.self_loop_vertices, loop_flags) if flag
-        }
-        active = set(range(instance.vertex_count)) - looped
-        chosen = [i for i, f in enumerate(arc_flags) if f]
-        nxt: dict[int, int] = {}
-        for i in chosen:
-            arc = instance.arcs[i]
-            if arc.tail in looped or arc.head in looped:
-                return False
-            if arc.tail in nxt:
-                return False
-            nxt[arc.tail] = arc.head
-        if instance.sink in nxt:
+        """True when real arcs + artificial arc form one covering cycle.
+
+        That is, the arc flags decode (validate_selection) to a path and
+        the loop flags mark exactly the vertices it skips.  Raises
+        ValueError when a flag count does not match the circuit.
+        """
+        if len(loop_flags) != len(self.self_loop_vertices):
+            raise ValueError("loop flag count does not match the circuit")
+        path = validate_selection(self.instance, arc_flags)
+        if isinstance(path, SelectionViolation):
             return False
-        nxt[instance.sink] = instance.source  # the artificial closing arc
-        current = instance.source
-        seen = set()
-        while current not in seen:
-            seen.add(current)
-            if current not in nxt:
-                return False
-            current = nxt[current]
-        return current == instance.source and seen == active
+        looped = {v for v, flag in zip(self.self_loop_vertices, loop_flags) if flag}
+        unlooped = set(range(self.instance.vertex_count)) - looped
+        return set(path.vertices) == unlooped
 
     def decode(self, arc_flags: Sequence[int]) -> tuple[int, ...]:
         """Strip the circuit closure: the real-arc flags of the path."""

@@ -621,13 +621,13 @@ def local_search(
 ) -> SolveReport:
     """Heuristic: shortest-path seed, candidate pool, detour descent.
 
-    Starts from the conflict-blind shortest path, evaluates a pool of
-    LOCAL_SEARCH_POOL cheap paths (k-shortest by arc cost), then
+    Evaluates a pool of LOCAL_SEARCH_POOL cheap paths (k-shortest by arc
+    cost, the first being the conflict-blind shortest path), then
     repeatedly applies the best single-detour move (replace one subpath
     by the cheapest alternative subpath) while it strictly improves the
     objective.  LOCAL_SEARCH_RESTARTS seeded perturbation restarts escape
-    local optima.  The reported lower bound is the conflict-blind
-    shortest distance; the status is always FEASIBLE when the sink is
+    local optima.  The reported lower bound is the arc cost of the
+    pool's first path; the status is always FEASIBLE when the sink is
     reachable since no optimality is proven.  nodes_explored counts the
     paths priced: pool paths, detours (see _detours) and perturbations.
     The schedule is iteration-bounded, so results with a fixed seed do
@@ -641,8 +641,9 @@ def local_search(
     def out_of_time() -> bool:
         return deadline is not None and time.perf_counter() > deadline
 
-    dist, pred = dijkstra(instance)
-    if dist[instance.sink] == INFINITY:
+    pool = _yen(instance)
+    cheapest = next(pool, None)
+    if cheapest is None:
         return SolveReport(
             status=SolveStatus.INFEASIBLE,
             lower_bound=INFINITY,
@@ -652,7 +653,7 @@ def local_search(
             seconds_total=time.perf_counter() - start,
             nodes_explored=0,
         )
-    lb = dist[instance.sink]
+    lb, shortest = cheapest
     heads = instance.heads
 
     evaluated = 0
@@ -723,8 +724,8 @@ def local_search(
             return assess(p[:i] + first + second[1:] + p[j + 1:])
         return None
 
-    consider(assess(_path(instance, pred, instance.source, instance.sink)))
-    for _, verts in islice(_yen(instance), LOCAL_SEARCH_POOL):
+    consider(assess(shortest))
+    for _, verts in islice(pool, LOCAL_SEARCH_POOL - 1):
         if out_of_time():
             break
         consider(assess(verts))

@@ -181,6 +181,21 @@ def test_solve_bb_too_deep_for_the_recursion_exits_3(tmp_path, capsys, chain_bui
     assert "recursion" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("limit", ["nan", "-1"])
+def test_time_limit_rejects_nan_and_negatives(tmp_path, capsys, golden, command, limit):
+    # NaN compares false with every deadline, so it would disable them all.
+    path = _golden_file(tmp_path, golden)
+    argv = [command, str(path if command == "solve" else tmp_path), f"--time-limit={limit}"]
+    if command == "bench":
+        argv += ["--out", str(tmp_path / "bench.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "time limit must be a non-negative number" in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
+
+
 def test_solve_missing_file_exits_2(tmp_path, capsys):
     code = main(["solve", str(tmp_path / "absent.spedac")])
     assert code == 2

@@ -18,8 +18,6 @@ from spedac import (
     conflict_penalty_term,
     evaluate,
     generate_random,
-    incidence_from_path,
-    objective_from_incidence,
     validate_selection,
     RandomConfig,
 )
@@ -115,43 +113,6 @@ def test_path_solution_objective_is_sum():
         violated_conflicts=frozenset({0}),
     )
     assert sol.objective == 15
-
-
-# --- incidence form -------------------------------------------------------
-
-def test_incidence_of_optimum(golden):
-    vec = incidence_from_path(golden, evaluate(golden, (0, 1, 3, 4, 6)))
-    assert sum(vec.arc_flags) == 4
-    assert vec.penalty_flags == (0, 0, 0)
-    assert objective_from_incidence(golden, vec) == 7
-
-
-def test_incidence_activation_flags_follow_and(golden):
-    vec = incidence_from_path(golden, evaluate(golden, (0, 2, 1, 4, 6)))
-    assert vec.penalty_flags == (0, 0, 1)
-    assert objective_from_incidence(golden, vec) == 35
-
-
-def test_incidence_objective_matches_evaluate_everywhere(golden):
-    instances = [golden]
-    for seed in range(6):
-        instances.append(
-            generate_random(
-                RandomConfig(n=8, d=0.3, r=0.05, penalty_range=(1, 20), seed=seed)
-            )
-        )
-    for instance in instances:
-        for verts in enumerate_simple_paths(instance):
-            sol = evaluate(instance, verts)
-            vec = incidence_from_path(instance, sol)
-            assert objective_from_incidence(instance, vec) == sol.objective
-
-
-def test_incidence_objective_validates_lengths(golden):
-    vec = incidence_from_path(golden, evaluate(golden, (0, 1, 3, 4, 6)))
-    bad = dataclasses.replace(vec, arc_flags=vec.arc_flags[:-1])
-    with pytest.raises(ValueError):
-        objective_from_incidence(golden, bad)
 
 
 # --- selection validation -------------------------------------------------

@@ -20,7 +20,6 @@ from spedac import (
     evaluate,
     export_flow_model,
     generate_random,
-    incidence_from_path,
     induced_assignment,
     instance_digest,
     parse_assignment,
@@ -83,6 +82,12 @@ def _mtz_orders_exist(instance: Instance, x_flags: tuple[int, ...]) -> bool:
             if level[tail] + gap > level[head]:
                 return False  # still relaxing after n rounds: positive cycle
     return all(level[v] <= upper[v] for v in range(n))
+
+
+def _arc_flags(instance: Instance, verts) -> tuple[int, ...]:
+    """0/1 flag per arc: 1 on the arcs of the vertex path verts."""
+    on_path = set(zip(verts, verts[1:]))
+    return tuple(int((a.tail, a.head) in on_path) for a in instance.arcs)
 
 
 def _flow_balanced(instance: Instance, x_flags: tuple[int, ...]) -> bool:
@@ -215,21 +220,29 @@ def test_fractional_binary_trips_its_bound(golden):
 
 
 def test_model_objective_agrees_with_evaluator_on_every_path(golden):
+    # One assignment per path serves both modes: the omit model has no u
+    # variables and the verifier reads only the model's own catalog.
     instances = [
         golden,
         _loopback_instance(),
         generate_random(RandomConfig(n=8, d=0.35, r=0.02, penalty_range=(1, 30), seed=6)),
         generate_random(RandomConfig(n=9, d=0.3, r=0.015, seed=2)),
+    ] + [
+        generate_random(RandomConfig(n=8, d=0.3, r=0.05, penalty_range=(1, 20), seed=s))
+        for s in range(6)
     ]
     for instance in instances:
         optimum = brute_force(instance).upper_bound
-        for sec_mode in ("mtz", "omit"):
-            model = export_flow_model(instance, sec_mode=sec_mode)
-            for verts in enumerate_simple_paths(instance):
-                solution = evaluate(instance, verts)
-                objective, violated = verify_model_at_point(
-                    model, induced_assignment(instance, solution, sec_mode=sec_mode)
-                )
+        models = [export_flow_model(instance, sec_mode=m) for m in ("mtz", "omit")]
+        for verts in enumerate_simple_paths(instance):
+            solution = evaluate(instance, verts)
+            point = induced_assignment(instance, solution)
+            x = _arc_flags(instance, verts)
+            assert [point[f"x_{a.tail}_{a.head}"] for a in instance.arcs] == list(x)
+            for k, c in enumerate(instance.conflicts):
+                assert point[f"y_{k}"] == (x[c.arc_a] and x[c.arc_b])
+            for model in models:
+                objective, violated = verify_model_at_point(model, point)
                 assert violated == []
                 assert objective == solution.objective
                 assert objective >= optimum
@@ -243,10 +256,7 @@ def test_cycle_exclusion_admits_exactly_the_simple_paths():
     # disjoint cycle slip through flow conservation alone.
     instance = _loopback_instance()
     m = len(instance.arcs)
-    paths = {
-        incidence_from_path(instance, evaluate(instance, verts)).arc_flags
-        for verts in enumerate_simple_paths(instance)
-    }
+    paths = {_arc_flags(instance, verts) for verts in enumerate_simple_paths(instance)}
     admitted = set()
     flow_only = set()
     for x_flags in product((0, 1), repeat=m):
@@ -359,9 +369,7 @@ def test_every_path_encodes_to_a_circuit(golden):
         solution = evaluate(golden, verts)
         arc_flags, loop_flags = circuit.selection_from_path(solution)
         assert circuit.is_circuit(arc_flags, loop_flags)
-        assert circuit.decode(arc_flags) == incidence_from_path(
-            golden, solution
-        ).arc_flags
+        assert circuit.decode(arc_flags) == _arc_flags(golden, verts)
 
 
 def test_tampered_circuits_are_rejected(golden):
@@ -388,6 +396,45 @@ def test_tampered_circuits_are_rejected(golden):
     severed = list(arc_flags)
     severed[severed.index(1)] = 0
     assert not circuit.is_circuit(tuple(severed), loop_flags)
+
+
+def test_is_circuit_rejects_flag_counts_that_do_not_match(golden):
+    circuit = to_circuit_form(golden)
+    arc_flags, loop_flags = circuit.selection_from_path(evaluate(golden, (0, 1, 3, 4, 6)))
+    assert circuit.is_circuit(arc_flags, loop_flags)
+    for bad_arcs in (arc_flags[:10], arc_flags + (0,)):
+        with pytest.raises(ValueError, match="arc flag count"):
+            circuit.is_circuit(bad_arcs, loop_flags)
+    for bad_loops in (loop_flags[:-1], loop_flags + (0,)):
+        with pytest.raises(ValueError, match="loop flag count"):
+            circuit.is_circuit(arc_flags, bad_loops)
+
+
+def test_is_circuit_accepts_exactly_the_covering_paths():
+    # Independent definition: the flags are those of an enumerated simple
+    # source-sink path, with a loop on exactly the vertices it skips.
+    # Exhaustive over every arc and loop flag combination; the random
+    # digraphs have arcs into the source and out of the sink.
+    instances = [_loopback_instance()] + [
+        generate_random(RandomConfig(n=5, d=0.5, r=0.0, seed=s)) for s in range(3)
+    ] + [generate_random(RandomConfig(n=4, d=0.7, r=0.0, seed=1))]
+    for instance in instances:
+        circuit = to_circuit_form(instance)
+        covering = set()
+        for verts in enumerate_simple_paths(instance):
+            on_path = set(verts)
+            covering.add((
+                _arc_flags(instance, verts),
+                tuple(int(v not in on_path) for v in circuit.self_loop_vertices),
+            ))
+        m, k = len(instance.arcs), len(circuit.self_loop_vertices)
+        accepted = {
+            (arc_flags, loop_flags)
+            for arc_flags in product((0, 1), repeat=m)
+            for loop_flags in product((0, 1), repeat=k)
+            if circuit.is_circuit(arc_flags, loop_flags)
+        }
+        assert accepted == covering
 
 
 def test_disconnected_cycles_are_not_circuits():

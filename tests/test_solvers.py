@@ -545,14 +545,14 @@ _PINNED_N60 = [
         [76, 77, 171, 172, 219, 227, 235, 237, 249, 259,
          265, 268, 269, 274, 278, 289, 290, 292, 295, 295],
         "87d3dbb347fdc1eafdd927dc76cd940934bf0115039cc994a20adbbdb45291f8",
-        (1080, 280, (0, 58, 31, 59)),
+        (1080, 279, (0, 58, 31, 59)),
     ),
     (
         RandomConfig(n=60, d=0.1, r=5e-4, seed=2),
         [126, 145, 146, 165, 173, 174, 177, 179, 181, 183,
          184, 185, 187, 187, 189, 190, 191, 191, 192, 193],
         "302858b3683506a71f8763500cb6b92aade3087181cf3ad63a7d21b63a58dc4c",
-        (2386, 286, (0, 54, 3, 28, 13, 8, 51, 34, 59)),
+        (2386, 285, (0, 54, 3, 28, 13, 8, 51, 34, 59)),
     ),
 ]
 
@@ -573,49 +573,66 @@ def test_local_search_is_pinned(config, _, __, expected):
 
 
 # Recorded with the per-pair masked-Dijkstra descent, before detours were
-# routed from one search per start vertex and priced by their delta.
+# routed from one search per start vertex and priced by their delta.  The
+# node counts here and in _PINNED_N60 are one lower than in that recording:
+# the shortest path now seeds the search as the Yen pool's first path, so
+# it is priced once instead of twice.
 _PINNED_FAMILIES = [
     (
         RandomConfig(n=100, d=0.1, r=1e-3, seed=1007), 0,
-        (33183, 2361, (0, 42, 68, 82, 36, 17, 43, 94, 53, 25, 72, 92, 41,
+        (33183, 2360, (0, 42, 68, 82, 36, 17, 43, 94, 53, 25, 72, 92, 41,
                        67, 64, 19, 35, 1, 63, 51, 11, 84, 79, 46, 99)),
     ),
     (
         RandomConfig(n=200, d=0.05, r=1e-4, seed=1007), 0,
-        (13382, 3628, (0, 107, 39, 3, 38, 102, 100, 98, 70, 133, 43, 162, 78,
+        (13382, 3627, (0, 107, 39, 3, 38, 102, 100, 98, 70, 133, 43, 162, 78,
                        140, 10, 127, 2, 34, 25, 45, 108, 106, 164, 193, 199)),
     ),
     (
         SmallWorldConfig(n=100, k=0.1, r=1e-3, seed=1005), 0,
-        (5057, 1188, (0, 16, 41, 42, 46, 3, 20, 22, 96, 80, 84, 81, 76, 92,
+        (5057, 1187, (0, 16, 41, 42, 46, 3, 20, 22, 96, 80, 84, 81, 76, 92,
                       95, 99)),
     ),
     (
         SmallWorldConfig(n=120, k=0.04, beta=0.0, r=1e-3, seed=1001), 0,
-        (1300, 1423, (0, 1, 119)),
+        (1300, 1422, (0, 1, 119)),
     ),
     (
         RandomConfig(n=25, d=0.2, r=1e-3, weight_range=(0, 5),
                      penalty_range=(1, 20), seed=7), 7,
-        (24, 941, (0, 18, 22, 4, 6, 2, 14, 10, 9, 12, 5, 1, 19, 24)),
+        (24, 940, (0, 18, 22, 4, 6, 2, 14, 10, 9, 12, 5, 1, 19, 24)),
     ),
     (
         SmallWorldConfig(n=60, k=0.05, beta=0.0, r=1e-3, seed=3), 3,
-        (284, 1626, (0, 59)),
+        (284, 1625, (0, 59)),
     ),
 ]
 
 
+def _pinned_instance(config):
+    if isinstance(config, RandomConfig):
+        return generate_random(config)
+    return generate_small_world(config)
+
+
 @pytest.mark.parametrize("config, seed, expected", _PINNED_FAMILIES)
 def test_local_search_is_pinned_across_families(config, seed, expected):
-    if isinstance(config, RandomConfig):
-        instance = generate_random(config)
-    else:
-        instance = generate_small_world(config)
-    report = local_search(instance, seed=seed)
+    report = local_search(_pinned_instance(config), seed=seed)
     assert (
         report.upper_bound, report.nodes_explored, report.incumbent.vertices
     ) == expected
+
+
+@pytest.mark.parametrize(
+    "config", [c for c, *_ in _PINNED_N60] + [c for c, *_ in _PINNED_FAMILIES]
+)
+def test_local_search_bound_and_seed_are_yens_first_path(config):
+    # The seed path is the conflict-blind shortest path, which is also the
+    # first path of the Yen pool, and the lower bound is its arc cost.
+    instance = _pinned_instance(config)
+    [(cost, first)] = k_shortest_paths(instance, 1)
+    assert shortest_path_vertices(instance) == first
+    assert local_search(instance, time_limit=0.0).lower_bound == cost
 
 
 # --- optimality gap -------------------------------------------------------
