@@ -17,8 +17,11 @@ from spedac import (
     SelectionViolation,
     conflict_penalty_term,
     evaluate,
+    export_flow_model,
     generate_random,
+    induced_assignment,
     validate_selection,
+    verify_model_at_point,
     RandomConfig,
 )
 from spedac.solvers import enumerate_simple_paths
@@ -113,6 +116,27 @@ def test_path_solution_objective_is_sum():
         violated_conflicts=frozenset({0}),
     )
     assert sol.objective == 15
+
+
+def test_incidence_objective_matches_evaluate_everywhere(golden):
+    # The linearised objective, read off the exported model at the path's
+    # induced 0/1 assignment, prices every simple path as evaluate does.
+    instances = [golden]
+    for seed in range(6):
+        instances.append(
+            generate_random(
+                RandomConfig(n=8, d=0.3, r=0.05, penalty_range=(1, 20), seed=seed)
+            )
+        )
+    for instance in instances:
+        model = export_flow_model(instance)
+        for verts in enumerate_simple_paths(instance):
+            sol = evaluate(instance, verts)
+            objective, violated = verify_model_at_point(
+                model, induced_assignment(instance, sol)
+            )
+            assert violated == []
+            assert objective == sol.objective
 
 
 # --- selection validation -------------------------------------------------
