@@ -27,6 +27,7 @@ from .solvers import (
     SolveReport,
     branch_and_bound,
     brute_force,
+    check_time_limit,
     local_search,
     optimality_gap,
 )
@@ -245,6 +246,7 @@ def run_bench(
     workers: int = 1,
 ) -> list[dict]:
     """Solve every *.spedac file under directory with every method."""
+    check_time_limit(time_limit)
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; pick one of {', '.join(METHODS)}")

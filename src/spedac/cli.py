@@ -45,6 +45,7 @@ from .solvers import (
     GapUndefinedError,
     GuardExceededError,
     SolveStatus,
+    check_time_limit,
     optimality_gap,
 )
 
@@ -52,16 +53,12 @@ DEFAULT_TIME_LIMIT = 1800.0
 
 
 def _time_limit(text: str) -> float:
-    # NaN would defeat every deadline check; inf is a valid "no limit".
     try:
-        value = float(text)
-        if value >= 0:
-            return value
+        return check_time_limit(float(text))
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"time limit must be a non-negative number of seconds, got {text!r}"
-    )
+        raise argparse.ArgumentTypeError(
+            f"time limit must be a non-negative number of seconds, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -58,6 +58,52 @@ class SolveReport:
     nodes_explored: int
 
 
+def check_time_limit(time_limit: Optional[float]) -> Optional[float]:
+    """Return time_limit, or raise ValueError unless it is None or >= 0.
+
+    NaN would defeat every deadline comparison; +infinity means no limit.
+    """
+    if time_limit is None or time_limit >= 0:
+        return time_limit
+    raise ValueError(
+        f"time limit must be a non-negative number of seconds, got {time_limit!r}"
+    )
+
+
+class _Run:
+    """One solve's clock, deadline and incumbent; builds its SolveReport."""
+
+    __slots__ = ("start", "deadline", "best", "best_at")
+
+    def __init__(self, time_limit: Optional[float]) -> None:
+        check_time_limit(time_limit)
+        self.start = time.perf_counter()
+        self.deadline = None if time_limit is None else self.start + time_limit
+        self.best: Optional[PathSolution] = None
+        self.best_at = 0.0
+
+    def expired(self) -> bool:
+        return self.deadline is not None and time.perf_counter() > self.deadline
+
+    def offer(self, sol: PathSolution) -> None:
+        # Keeps sol when it strictly improves the incumbent.
+        if self.best is None or sol.objective < self.best.objective:
+            self.best = sol
+            self.best_at = time.perf_counter() - self.start
+
+    def report(self, status: SolveStatus, lower_bound: float, nodes: int) -> SolveReport:
+        best = self.best
+        return SolveReport(
+            status=status,
+            lower_bound=lower_bound,
+            upper_bound=INFINITY if best is None else best.objective,
+            incumbent=best,
+            seconds_to_best=self.best_at,
+            seconds_total=time.perf_counter() - self.start,
+            nodes_explored=nodes,
+        )
+
+
 def dijkstra(
     instance: Instance,
     from_sink: bool = False,
@@ -136,6 +182,13 @@ def enumerate_simple_paths(instance: Instance) -> Iterator[tuple[int, ...]]:
     Depth-first with an explicit stack of outgoing-arc iterators, so the
     path length is not limited by the interpreter's recursion depth.
     """
+    return _simple_paths(instance, _Run(None))
+
+
+def _simple_paths(instance: Instance, run: _Run) -> Iterator[Optional[tuple[int, ...]]]:
+    # The walk of enumerate_simple_paths; yields None once run has expired,
+    # which is tested at every 1024th backtrack, so the deadline holds
+    # however few branches reach the sink.
     arcs = instance.arcs
     outgoing = instance.outgoing
     sink = instance.sink
@@ -143,6 +196,7 @@ def enumerate_simple_paths(instance: Instance) -> Iterator[tuple[int, ...]]:
     on_path = [False] * instance.vertex_count
     on_path[instance.source] = True
     stack = [iter(outgoing[instance.source])]
+    backtracks = 0
     while stack:
         for a in stack[-1]:
             v = arcs[a].head
@@ -158,6 +212,9 @@ def enumerate_simple_paths(instance: Instance) -> Iterator[tuple[int, ...]]:
         else:
             stack.pop()
             on_path[path.pop()] = False
+            backtracks += 1
+            if backtracks % 1024 == 0 and run.expired():
+                yield None
 
 
 def brute_force(
@@ -171,45 +228,22 @@ def brute_force(
     enumerated or the optional time guard trips.  Among equal-objective
     optima the first path in enumeration order is kept.
     """
-    start = time.perf_counter()
-    deadline = None if time_limit is None else start + time_limit
-    best: Optional[PathSolution] = None
-    best_at = 0.0
+    run = _Run(time_limit)
     count = 0
-    for verts in enumerate_simple_paths(instance):
+    for verts in _simple_paths(instance, run):
+        if verts is None:
+            raise GuardExceededError(
+                f"time guard of {time_limit} s exceeded after {count} paths"
+            )
         count += 1
         if count > max_paths:
             raise GuardExceededError(
                 f"more than {max_paths} simple paths enumerated"
             )
-        if deadline is not None and count % 4096 == 0 and time.perf_counter() > deadline:
-            raise GuardExceededError(
-                f"time guard of {time_limit} s exceeded after {count} paths"
-            )
-        sol = evaluate(instance, verts)
-        if best is None or sol.objective < best.objective:
-            best = sol
-            best_at = time.perf_counter() - start
-    total = time.perf_counter() - start
-    if best is None:
-        return SolveReport(
-            status=SolveStatus.INFEASIBLE,
-            lower_bound=INFINITY,
-            upper_bound=INFINITY,
-            incumbent=None,
-            seconds_to_best=0.0,
-            seconds_total=total,
-            nodes_explored=count,
-        )
-    return SolveReport(
-        status=SolveStatus.OPTIMAL,
-        lower_bound=best.objective,
-        upper_bound=best.objective,
-        incumbent=best,
-        seconds_to_best=best_at,
-        seconds_total=total,
-        nodes_explored=count,
-    )
+        run.offer(evaluate(instance, verts))
+    if run.best is None:
+        return run.report(SolveStatus.INFEASIBLE, INFINITY, count)
+    return run.report(SolveStatus.OPTIMAL, run.best.objective, count)
 
 
 def _reduced_costs(instance: Instance, mu: Sequence[int]) -> list[int]:
@@ -224,7 +258,7 @@ def _reduced_costs(instance: Instance, mu: Sequence[int]) -> list[int]:
 def _conflict_multipliers(
     instance: Instance,
     first: tuple[list[float], list[Optional[int]]],
-    deadline: Optional[float],
+    run: _Run,
 ) -> tuple[list[int], list[float]]:
     """Integer Lagrangian multipliers for the conflicts, by subgradient ascent.
 
@@ -236,7 +270,7 @@ def _conflict_multipliers(
     seen, rounded to integers and clipped to [-p_k, p_k], run for
     LAGRANGE_ROUNDS rounds; the step size halves after LAGRANGE_PATIENCE
     rounds without a better bound, and the search stops early on a zero
-    subgradient or at the deadline.  first is the backward dijkstra at
+    subgradient or once run has expired.  first is the backward dijkstra at
     mu = 0.  Returns the multipliers of the best bound and their backward
     distances under max(0, r).
     """
@@ -280,7 +314,7 @@ def _conflict_multipliers(
                 scale, stale = scale / 2, 0
         grad = [1 - chosen[c.arc_a] - chosen[c.arc_b] for c in conflicts]
         norm = sum(g * g for g in grad)
-        if norm == 0 or (deadline is not None and time.perf_counter() > deadline):
+        if norm == 0 or run.expired():
             break
         step = max(1, round(scale * (target - bound) / norm))
         mu = [
@@ -326,10 +360,10 @@ def branch_and_bound(
 
     The wall clock is consulted every 1024 nodes.  On a timeout the
     report carries the incumbent and a lower bound no larger than any
-    open node's bound; the two hooks exist for instrumentation in tests.
+    open node's bound.  The two hooks serve instrumentation: the tests
+    and perfbench's tracing pass them.
     """
-    start = time.perf_counter()
-    deadline = None if time_limit is None else start + time_limit
+    run = _Run(time_limit)
     dist_sink, pred_sink = dijkstra(instance, from_sink=True)
     source, sink = instance.source, instance.sink
     n = instance.vertex_count
@@ -338,17 +372,9 @@ def branch_and_bound(
     conflicts = instance.conflicts
 
     if dist_sink[source] == INFINITY:
-        return SolveReport(
-            status=SolveStatus.INFEASIBLE,
-            lower_bound=INFINITY,
-            upper_bound=INFINITY,
-            incumbent=None,
-            seconds_to_best=0.0,
-            seconds_total=time.perf_counter() - start,
-            nodes_explored=0,
-        )
+        return run.report(SolveStatus.INFEASIBLE, INFINITY, 0)
 
-    mu, dist_mu = _conflict_multipliers(instance, (dist_sink, pred_sink), deadline)
+    mu, dist_mu = _conflict_multipliers(instance, (dist_sink, pred_sink), run)
     negative = [min(0, r) for r in _reduced_costs(instance, mu)]
     # partners[a]: (other arc, multiplier, penalty) per conflict of arc a.
     partners: list[tuple[tuple[int, int, int], ...]] = [()] * len(arcs)
@@ -377,9 +403,7 @@ def branch_and_bound(
     on_path[source] = True
     path = [source]
 
-    best: Optional[PathSolution] = None
-    ub: float = INFINITY
-    best_at = 0.0
+    ub: float = INFINITY  # the incumbent's objective
     nodes = 0
     open_lb: float = INFINITY  # min bound over subtrees abandoned at timeout
     timed_out = False
@@ -409,9 +433,9 @@ def branch_and_bound(
                 committed -= sign * p
 
     def visit(u: int, g: int, bound: int) -> None:
-        nonlocal nodes, best, ub, best_at, timed_out, open_lb, negative_sum
+        nonlocal nodes, ub, timed_out, open_lb, negative_sum
         nodes += 1
-        if deadline is not None and nodes % 1024 == 0 and time.perf_counter() > deadline:
+        if nodes % 1024 == 0 and run.expired():
             timed_out = True
         if on_node is not None:
             on_node(tuple(path), bound)
@@ -420,11 +444,10 @@ def branch_and_bound(
             return
         if u == sink:
             if g + committed + open_penalty < ub:
-                best = evaluate(instance, path)
-                ub = best.objective
-                best_at = time.perf_counter() - start
+                run.offer(evaluate(instance, path))
+                ub = run.best.objective
                 if on_incumbent is not None:
-                    on_incumbent(best)
+                    on_incumbent(run.best)
             return
         for a in conflicted[u]:
             exclude(a, 1)
@@ -460,37 +483,9 @@ def branch_and_bound(
         visit(source, 0, root_bound)
     finally:
         visit = None  # the closure refers to itself; break the cycle
-    total = time.perf_counter() - start
-    if best is None:
-        # dist_sink[source] is finite, so only a timeout can land here.
-        return SolveReport(
-            status=SolveStatus.TIME_LIMIT,
-            lower_bound=open_lb,
-            upper_bound=INFINITY,
-            incumbent=None,
-            seconds_to_best=0.0,
-            seconds_total=total,
-            nodes_explored=nodes,
-        )
-    if timed_out:
-        return SolveReport(
-            status=SolveStatus.TIME_LIMIT,
-            lower_bound=min(open_lb, ub),
-            upper_bound=ub,
-            incumbent=best,
-            seconds_to_best=best_at,
-            seconds_total=total,
-            nodes_explored=nodes,
-        )
-    return SolveReport(
-        status=SolveStatus.OPTIMAL,
-        lower_bound=ub,
-        upper_bound=ub,
-        incumbent=best,
-        seconds_to_best=best_at,
-        seconds_total=total,
-        nodes_explored=nodes,
-    )
+    # open_lb stays +infinity without a timeout, ub without an incumbent.
+    status = SolveStatus.TIME_LIMIT if timed_out else SolveStatus.OPTIMAL
+    return run.report(status, min(open_lb, ub), nodes)
 
 
 def k_shortest_paths(instance: Instance, k: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -635,36 +630,14 @@ def local_search(
     checked between pool paths and after each start vertex of a descent
     step.
     """
-    start = time.perf_counter()
-    deadline = None if time_limit is None else start + time_limit
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.perf_counter() > deadline
-
+    run = _Run(time_limit)
     pool = _yen(instance)
     cheapest = next(pool, None)
     if cheapest is None:
-        return SolveReport(
-            status=SolveStatus.INFEASIBLE,
-            lower_bound=INFINITY,
-            upper_bound=INFINITY,
-            incumbent=None,
-            seconds_to_best=0.0,
-            seconds_total=time.perf_counter() - start,
-            nodes_explored=0,
-        )
+        return run.report(SolveStatus.INFEASIBLE, INFINITY, 0)
     lb, shortest = cheapest
     heads = instance.heads
-
     evaluated = 0
-    best: Optional[PathSolution] = None
-    best_at = 0.0
-
-    def consider(sol: PathSolution) -> None:
-        nonlocal best, best_at
-        if best is None or sol.objective < best.objective:
-            best = sol
-            best_at = time.perf_counter() - start
 
     def assess(verts: Sequence[int]) -> PathSolution:
         nonlocal evaluated
@@ -693,12 +666,12 @@ def local_search(
                 if objective < target:
                     target = objective
                     winner = (*p[: i + 1], *(heads[a] for a in alt), *p[j + 1:])
-            if out_of_time():
+            if run.expired():
                 break
         return None if winner is None else evaluate(instance, winner)
 
     def descend(sol: PathSolution) -> PathSolution:
-        while not out_of_time():
+        while not run.expired():
             move = best_detour(sol)
             if move is None:
                 break
@@ -724,30 +697,21 @@ def local_search(
             return assess(p[:i] + first + second[1:] + p[j + 1:])
         return None
 
-    consider(assess(shortest))
+    run.offer(assess(shortest))
     for _, verts in islice(pool, LOCAL_SEARCH_POOL - 1):
-        if out_of_time():
+        if run.expired():
             break
-        consider(assess(verts))
-    consider(descend(best))
+        run.offer(assess(verts))
+    run.offer(descend(run.best))
     rng = random.Random(f"{seed}/local-search")
     for _ in range(LOCAL_SEARCH_RESTARTS):
-        if out_of_time():
+        if run.expired():
             break
-        kicked = perturbed(best, rng)
+        kicked = perturbed(run.best, rng)
         if kicked is None:
             continue
-        consider(descend(kicked))
-
-    return SolveReport(
-        status=SolveStatus.FEASIBLE,
-        lower_bound=lb,
-        upper_bound=best.objective,
-        incumbent=best,
-        seconds_to_best=best_at,
-        seconds_total=time.perf_counter() - start,
-        nodes_explored=evaluated,
-    )
+        run.offer(descend(kicked))
+    return run.report(SolveStatus.FEASIBLE, lb, evaluated)
 
 
 def optimality_gap(lower_bound: float, upper_bound: float) -> float:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the hand-checked seven-vertex instance and oracles."""
+"""Shared fixtures: the hand-checked seven-vertex instance, oracles and the
+deadline tolerance."""
 
 from __future__ import annotations
 
@@ -7,6 +8,9 @@ from itertools import permutations
 import pytest
 
 from spedac import ArcRecord, ConflictRecord, Instance
+
+# How far past its time limit a solve may return.
+DEADLINE_TOLERANCE_S = 0.25
 
 
 def build_golden(penalty: int = 10) -> Instance:
@@ -95,3 +99,8 @@ def permutation_enumerator():
 @pytest.fixture
 def chain_builder():
     return build_chain
+
+
+@pytest.fixture
+def deadline_tolerance() -> float:
+    return DEADLINE_TOLERANCE_S

@@ -31,6 +31,7 @@ from spedac import (
     shortest_path_vertices,
 )
 from spedac import solvers
+from spedac.bench import run_bench
 from spedac.solvers import _detour_objective, _detours
 
 INFINITY = math.inf
@@ -184,15 +185,6 @@ def test_brute_force_guard(golden):
         brute_force(golden, max_paths=5)
 
 
-def test_brute_force_infeasible():
-    instance = Instance(
-        vertex_count=3, arcs=(ArcRecord(1, 0, 1),), conflicts=(), source=0, sink=2
-    )
-    report = brute_force(instance)
-    assert report.status is SolveStatus.INFEASIBLE
-    assert report.incumbent is None
-    assert report.upper_bound == INFINITY
-
 
 # --- branch and bound -----------------------------------------------------
 
@@ -235,15 +227,6 @@ def test_branch_and_bound_reduces_to_dijkstra_without_conflicts():
         assert report.status is SolveStatus.OPTIMAL
         assert report.upper_bound == dist[instance.sink]
 
-
-def test_branch_and_bound_infeasible():
-    instance = Instance(
-        vertex_count=3, arcs=(ArcRecord(1, 0, 1),), conflicts=(), source=0, sink=2
-    )
-    report = branch_and_bound(instance)
-    assert report.status is SolveStatus.INFEASIBLE
-    assert report.incumbent is None
-    assert report.lower_bound == report.upper_bound == INFINITY
 
 
 def test_branch_and_bound_is_deterministic(golden):
@@ -409,23 +392,37 @@ def test_local_search_is_deterministic(golden):
     assert first.nodes_explored == second.nodes_explored
 
 
-def test_local_search_infeasible():
-    instance = Instance(
-        vertex_count=3, arcs=(ArcRecord(1, 0, 1),), conflicts=(), source=0, sink=2
-    )
-    report = local_search(instance)
-    assert report.status is SolveStatus.INFEASIBLE
-    assert report.incumbent is None
+
+def _deadline_instance():
+    # Large enough that no solver finishes within 0.2 s.
+    return generate_random(RandomConfig(n=1000, d=0.01, r=1e-4, seed=0))
 
 
-def test_local_search_deadline_covers_the_candidate_pool():
+def test_local_search_deadline_covers_the_candidate_pool(deadline_tolerance):
     # The 50-path Yen pool alone takes about a second here.
-    instance = generate_random(RandomConfig(n=1000, d=0.01, r=1e-4, seed=0))
+    instance = _deadline_instance()
     start = time.perf_counter()
     report = local_search(instance, time_limit=0.2)
-    assert time.perf_counter() - start <= 0.2 + 0.25
+    assert time.perf_counter() - start <= 0.2 + deadline_tolerance
     assert report.status is SolveStatus.FEASIBLE
     assert report.upper_bound == evaluate(instance, report.incumbent.vertices).objective
+
+
+@pytest.mark.parametrize("solve", [branch_and_bound, brute_force], ids=["bb", "brute"])
+def test_exact_solvers_meet_the_same_deadline(solve, deadline_tolerance):
+    # Brute force finds few complete paths here, so its time guard must be
+    # tested during the walk, not once per batch of paths.
+    instance = _deadline_instance()
+    start = time.perf_counter()
+    if solve is brute_force:
+        with pytest.raises(GuardExceededError, match="time guard"):
+            brute_force(instance, time_limit=0.2)
+    else:
+        report = branch_and_bound(instance, time_limit=0.2)
+        assert report.status is SolveStatus.TIME_LIMIT
+        assert report.lower_bound <= report.upper_bound
+        assert report.upper_bound == evaluate(instance, report.incumbent.vertices).objective
+    assert time.perf_counter() - start <= 0.2 + deadline_tolerance
 
 
 def _detour_instances():
@@ -633,6 +630,71 @@ def test_local_search_bound_and_seed_are_yens_first_path(config):
     [(cost, first)] = k_shortest_paths(instance, 1)
     assert shortest_path_vertices(instance) == first
     assert local_search(instance, time_limit=0.0).lower_bound == cost
+
+
+# --- the report contract and time limits ----------------------------------
+
+def _dead_end():
+    # The sink has no arc in, so no path exists.
+    return Instance(
+        vertex_count=3, arcs=(ArcRecord(1, 0, 1),), conflicts=(), source=0, sink=2
+    )
+
+
+def _timeout_instance():
+    # The instance of test_branch_and_bound_timeout_keeps_valid_bounds.
+    return generate_random(
+        RandomConfig(n=16, d=0.3, r=0.01, penalty_range=(25, 125), seed=1)
+    )
+
+
+@pytest.mark.parametrize(
+    "solve, name, time_limit, status",
+    [
+        (brute_force, "dead end", None, SolveStatus.INFEASIBLE),
+        (branch_and_bound, "dead end", None, SolveStatus.INFEASIBLE),
+        (local_search, "dead end", None, SolveStatus.INFEASIBLE),
+        (brute_force, "golden", None, SolveStatus.OPTIMAL),
+        (branch_and_bound, "golden", None, SolveStatus.OPTIMAL),
+        (local_search, "golden", None, SolveStatus.FEASIBLE),
+        (branch_and_bound, "n16", 0.0, SolveStatus.TIME_LIMIT),
+    ],
+    ids=[
+        "brute-infeasible", "bb-infeasible", "heur-infeasible",
+        "brute-optimal", "bb-optimal", "heur-feasible", "bb-timelimit",
+    ],
+)
+def test_report_contract(golden, solve, name, time_limit, status):
+    build = {"dead end": _dead_end, "golden": lambda: golden, "n16": _timeout_instance}
+    instance = build[name]()
+    report = solve(instance, time_limit=time_limit)
+    assert report.status is status
+    assert report.lower_bound <= report.upper_bound
+    assert (report.upper_bound == INFINITY) == (report.incumbent is None)
+    if report.incumbent is not None:
+        assert report.upper_bound == evaluate(instance, report.incumbent.vertices).objective
+    if status is SolveStatus.OPTIMAL:
+        assert report.lower_bound == report.upper_bound
+    if status is SolveStatus.INFEASIBLE:
+        assert report.lower_bound == report.upper_bound == INFINITY
+        assert report.nodes_explored == 0
+    assert 0 <= report.seconds_to_best <= report.seconds_total
+
+
+@pytest.mark.parametrize("limit", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize(
+    "solve", [branch_and_bound, local_search, brute_force, run_bench],
+    ids=["bb", "heur", "brute", "run_bench"],
+)
+def test_library_rejects_nan_and_negative_time_limits(tmp_path, golden, solve, limit):
+    # NaN compares false with every deadline, so it would disable them all;
+    # zero and infinity are valid limits.
+    target = tmp_path if solve is run_bench else golden
+    if limit >= 0:
+        solve(target, time_limit=limit)
+    else:
+        with pytest.raises(ValueError, match="time limit must be a non-negative number"):
+            solve(target, time_limit=limit)
 
 
 # --- optimality gap -------------------------------------------------------
