@@ -158,11 +158,6 @@ class Instance:
         return tuple(tuple(x) for x in inc)
 
     @cached_property
-    def conflict_indices(self) -> tuple[int, ...]:
-        """0 .. len(conflicts)-1; every violated_conflicts set shares these objects."""
-        return tuple(range(len(self.conflicts)))
-
-    @cached_property
     def penalty_total(self) -> int:
         """Sum of all conflict penalties: the penalty of a path using no conflict arc."""
         return sum(c.penalty for c in self.conflicts)
@@ -179,17 +174,28 @@ class Instance:
 
 @dataclass(frozen=True, slots=True)
 class PathSolution:
-    """A simple source-to-sink path together with its evaluated costs."""
+    """A simple source-to-sink path together with its evaluated costs.
+
+    It keeps the satisfied conflicts (exactly one arc on the path), which
+    are few, and the instance's conflict count; every other conflict is
+    violated.
+    """
 
     vertices: tuple[int, ...]
     arc_indices: tuple[int, ...]
     arc_cost: int
     penalty_cost: int
-    violated_conflicts: frozenset[int]
+    satisfied_conflicts: tuple[int, ...]  # ascending
+    conflict_count: int
 
     @property
     def objective(self) -> int:
         return self.arc_cost + self.penalty_cost
+
+    @property
+    def violated_conflicts(self) -> frozenset[int]:
+        """Conflicts with both arcs or neither arc on the path."""
+        return frozenset(range(self.conflict_count)).difference(self.satisfied_conflicts)
 
 
 @dataclass(frozen=True)
@@ -245,17 +251,13 @@ def evaluate(instance: Instance, path: Sequence[int]) -> PathSolution:
         arc_ids.append(idx)
         arc_cost += instance.arcs[idx].weight
     satisfied, relief = satisfied_conflicts(instance, set(arc_ids), arc_ids)
-    # Every conflict without exactly one arc on the path is violated.  The
-    # set holds the instance's shared index objects, and frozenset() sizes
-    # its table from the set's count.
-    violated = set(instance.conflict_indices)
-    violated -= satisfied
     return PathSolution(
         vertices=verts,
         arc_indices=tuple(arc_ids),
         arc_cost=arc_cost,
         penalty_cost=instance.penalty_total - relief,
-        violated_conflicts=frozenset(violated),
+        satisfied_conflicts=tuple(sorted(satisfied)),
+        conflict_count=len(instance.conflicts),
     )
 
 

@@ -267,12 +267,15 @@ def _conflict_multipliers(
         L(mu) = sum(mu) + SP+(source) + sum_a min(0, r_a)
     with r the reduced costs of _reduced_costs and SP+ the shortest
     distance under max(0, r).  Polyak steps toward the best path objective
-    seen, rounded to integers and clipped to [-p_k, p_k], run for
+    seen, rounded to integers and clipped to [-p_k, p_k], run for at most
     LAGRANGE_ROUNDS rounds; the step size halves after LAGRANGE_PATIENCE
-    rounds without a better bound, and the search stops early on a zero
-    subgradient or once run has expired.  first is the backward dijkstra at
-    mu = 0.  Returns the multipliers of the best bound and their backward
-    distances under max(0, r).
+    rounds without a better bound.  The search stops early on a zero
+    subgradient, once run has expired, or when a step moves no multiplier:
+    each multiplier with a nonzero subgradient then sits at the clip bound
+    it is pushed against, so every later round, whatever its step, would
+    repeat the same bound and leave mu where it is.  first is the backward
+    dijkstra at mu = 0.  Returns the multipliers of the best bound and their
+    backward distances under max(0, r).
     """
     arcs = instance.arcs
     weights = instance.weights
@@ -317,10 +320,13 @@ def _conflict_multipliers(
         if norm == 0 or run.expired():
             break
         step = max(1, round(scale * (target - bound) / norm))
-        mu = [
+        moved = [
             max(-c.penalty, min(c.penalty, m + step * g))
             for m, g, c in zip(mu, grad, conflicts)
         ]
+        if moved == mu:
+            break
+        mu = moved
     return best_mu, best_dist
 
 
@@ -358,7 +364,10 @@ def branch_and_bound(
     search deterministic; the incumbent is the first optimum in that
     order, whatever the bound.
 
-    The wall clock is consulted every 1024 nodes.  On a timeout the
+    The wall clock is consulted at the root and every 1024 nodes.  A
+    deadline that passed while the multipliers were chosen stops the walk
+    at the root; the report then carries the root bound and the
+    conflict-blind shortest path as the incumbent.  On a timeout the
     report carries the incumbent and a lower bound no larger than any
     open node's bound.  The two hooks serve instrumentation: the tests
     and perfbench's tracing pass them.
@@ -406,7 +415,6 @@ def branch_and_bound(
     ub: float = INFINITY  # the incumbent's objective
     nodes = 0
     open_lb: float = INFINITY  # min bound over subtrees abandoned at timeout
-    timed_out = False
 
     def exclude(a: int, sign: int) -> None:
         # Moves arc a from undecided to out (sign 1) or back (sign -1).
@@ -479,6 +487,13 @@ def branch_and_bound(
             exclude(a, -1)
 
     root_bound = max(dist_sink[source], open_mu + dist_mu[source] + negative_sum)
+    timed_out = run.expired()
+    if timed_out:
+        # The deadline passed while the multipliers were chosen: the root is
+        # visited and abandoned, and the conflict-blind shortest path stands
+        # as the incumbent.
+        run.offer(evaluate(instance, shortest_path_vertices(instance)))
+        ub = run.best.objective
     try:
         visit(source, 0, root_bound)
     finally:

@@ -80,7 +80,7 @@ def test_evaluate_matches_a_scan_of_every_conflict():
         instance = generate_random(
             RandomConfig(n=9, d=0.5, r=0.02, penalty_range=(1, 20), seed=seed)
         )
-        shared = {id(k) for k in instance.conflict_indices}
+        everything = set(range(len(instance.conflicts)))
         for verts in enumerate_simple_paths(instance):
             sol = evaluate(instance, verts)
             used = set(sol.arc_indices)
@@ -88,9 +88,15 @@ def test_evaluate_matches_a_scan_of_every_conflict():
                 k for k, c in enumerate(instance.conflicts)
                 if (c.arc_a in used) == (c.arc_b in used)
             }
+            satisfied = [
+                k for k, c in enumerate(instance.conflicts)
+                if (c.arc_a in used) != (c.arc_b in used)
+            ]
+            assert sol.satisfied_conflicts == tuple(satisfied)
             assert sol.violated_conflicts == violated
+            assert sol.violated_conflicts.isdisjoint(sol.satisfied_conflicts)
+            assert sol.violated_conflicts.union(sol.satisfied_conflicts) == everything
             assert sol.penalty_cost == sum(instance.conflicts[k].penalty for k in violated)
-            assert all(id(k) in shared for k in sol.violated_conflicts)
     assert instance.penalty_total == sum(c.penalty for c in instance.conflicts)
 
 
@@ -113,9 +119,11 @@ def test_path_solution_objective_is_sum():
         arc_indices=(0,),
         arc_cost=4,
         penalty_cost=11,
-        violated_conflicts=frozenset({0}),
+        satisfied_conflicts=(1,),
+        conflict_count=2,
     )
     assert sol.objective == 15
+    assert sol.violated_conflicts == frozenset({0})
 
 
 def test_incidence_objective_matches_evaluate_everywhere(golden):

@@ -354,6 +354,42 @@ def test_branch_and_bound_timeout_keeps_valid_bounds():
         assert cut.upper_bound >= full.upper_bound
 
 
+def test_branch_and_bound_stops_at_the_root_on_a_past_deadline():
+    # The deadline has passed before the walk starts, so only the root is
+    # visited: the LB is its bound, the incumbent the conflict-blind
+    # shortest path.
+    instance = _timeout_instance()
+    optimum = branch_and_bound(instance).upper_bound
+    roots = []
+    report = branch_and_bound(
+        instance, time_limit=0.0, on_node=lambda path, bound: roots.append(bound)
+    )
+    assert report.status is SolveStatus.TIME_LIMIT
+    assert report.nodes_explored == len(roots) == 1
+    assert report.incumbent.arc_cost == dijkstra(instance)[0][instance.sink]
+    assert report.lower_bound == min(roots[0], report.upper_bound) <= optimum
+
+
+def test_branch_and_bound_stops_the_multipliers_once_they_stall(
+    monkeypatch, chain_builder
+):
+    # On the chain one step clips the multiplier to its penalty and the next
+    # moves nothing, so the remaining rounds would repeat one Dijkstra each.
+    calls = []
+    counted = solvers.dijkstra
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "dijkstra", counting)
+    chain = chain_builder(300)
+    report = branch_and_bound(chain)
+    assert report.status is SolveStatus.OPTIMAL
+    assert report.upper_bound == evaluate(chain, range(300)).objective
+    assert len(calls) <= 2
+
+
 # --- local search ---------------------------------------------------------
 
 def test_local_search_golden(golden):
