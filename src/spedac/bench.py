@@ -124,22 +124,14 @@ def solve_with_method(
     raise ValueError(f"unknown method {method!r}; pick one of {', '.join(METHODS)}")
 
 
-def _failure_row(
-    set_label: str, method: str, name: str, status: str, meta: Optional[BenchName]
+def _task_row(
+    set_label: str, method: str, name: str, status: str, meta: Optional[BenchName],
+    values: Sequence = (None,) * 5,
 ) -> dict:
-    return {
-        "set": set_label,
-        "method": method,
-        "instance": name,
-        "status": status,
-        "LB": None,
-        "UB": None,
-        "Sec best": None,
-        "Sec tot": None,
-        "Opt gap %": None,
-        "_meta": meta,
-        "_aggregate": False,
-    }
+    # One (instance, method) row; values fill the columns from LB on.
+    row = dict(zip(CSV_COLUMNS, (set_label, method, name, status, *values)))
+    row.update(_meta=meta, _aggregate=False)
+    return row
 
 
 def _solve_task(args: tuple[str, str, Optional[float], bool]) -> dict:
@@ -154,35 +146,25 @@ def _solve_task(args: tuple[str, str, Optional[float], bool]) -> dict:
     try:
         instance = load_instance(path)
     except (ParseError, InvariantError) as exc:
-        return _failure_row(set_label, method, path.name, f"ParseError: {exc}", meta)
+        return _task_row(set_label, method, path.name, f"ParseError: {exc}", meta)
     except OSError as exc:
-        return _failure_row(set_label, method, path.name, f"ReadError: {exc}", meta)
+        return _task_row(set_label, method, path.name, f"ReadError: {exc}", meta)
     try:
         report = solve_with_method(instance, method, time_limit=time_limit)
     except GuardExceededError as exc:
-        return _failure_row(set_label, method, path.name, f"GuardExceeded: {exc}", meta)
+        return _task_row(set_label, method, path.name, f"GuardExceeded: {exc}", meta)
     except RecursionError as exc:
         # branch_and_bound recurses once per path vertex.
-        return _failure_row(set_label, method, path.name, f"RecursionError: {exc}", meta)
+        return _task_row(set_label, method, path.name, f"RecursionError: {exc}", meta)
     lb = None if report.lower_bound == INFINITY else report.lower_bound
     ub = None if report.upper_bound == INFINITY else report.upper_bound
     try:
         gap = round(optimality_gap(report.lower_bound, report.upper_bound), 5)
     except GapUndefinedError:
         gap = None
-    return {
-        "set": set_label,
-        "method": method,
-        "instance": path.name,
-        "status": report.status.value,
-        "LB": lb,
-        "UB": ub,
-        "Sec best": round(report.seconds_to_best, 3) if timing else 0.0,
-        "Sec tot": round(report.seconds_total, 3) if timing else 0.0,
-        "Opt gap %": gap,
-        "_meta": meta,
-        "_aggregate": False,
-    }
+    seconds = (report.seconds_to_best, report.seconds_total) if timing else (0.0, 0.0)
+    return _task_row(set_label, method, path.name, report.status.value, meta,
+                     (lb, ub, *(round(s, 3) for s in seconds), gap))
 
 
 def _row_sort_key(row: dict):
@@ -231,7 +213,7 @@ def _mean_rows(rows: Sequence[dict]) -> list[dict]:
             "_meta": None,
             "_aggregate": True,
         }
-        for column in ("LB", "UB", "Sec best", "Sec tot", "Opt gap %"):
+        for column in CSV_COLUMNS[4:]:
             values = [m[column] for m in members if m[column] is not None]
             row[column] = sum(values) / len(values) if values else None
         out.append(row)
@@ -245,8 +227,13 @@ def run_bench(
     timing: bool = True,
     workers: int = 1,
 ) -> list[dict]:
-    """Solve every *.spedac file under directory with every method."""
+    """Solve every *.spedac file under directory with every method.
+
+    workers (at least 1) processes share the tasks, one per task at most.
+    """
     check_time_limit(time_limit)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; pick one of {', '.join(METHODS)}")
@@ -256,6 +243,7 @@ def run_bench(
         for method in methods
         for path in paths
     ]
+    workers = min(workers, len(tasks))
     if workers > 1:
         # Imported here: the process pool machinery costs about 1.5 MB of
         # resident memory, which serial sweeps and the other commands skip.
@@ -293,7 +281,7 @@ def render_bench_csv(rows: Sequence[dict]) -> str:
             [row["set"], row["method"], row["instance"], row["status"]]
             + [
                 _format_cell(col, row[col], row["_aggregate"])
-                for col in ("LB", "UB", "Sec best", "Sec tot", "Opt gap %")
+                for col in CSV_COLUMNS[4:]
             ]
         )
     return buffer.getvalue()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from . import __version__
 from .bench import (
@@ -61,6 +61,12 @@ def _time_limit(text: str) -> float:
         ) from None
 
 
+def _workers(text: str) -> int:
+    if text.strip().isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"workers must be a whole number of at least 1, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spedac",
@@ -76,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="penalty range (inclusive)")
         p.add_argument("--weights", type=int, nargs=2, metavar=("LO", "HI"),
                        help="arc weight range (inclusive)")
-        p.add_argument("--seed", type=int, help="generator seed (default 0)")
+        p.add_argument("--seed", type=int,
+                       help=f"generator seed (default {RandomConfig.seed})")
         p.add_argument("--profile", type=Path,
                        help="key=value profile file; explicit flags win")
         out = p.add_mutually_exclusive_group(required=True)
@@ -90,7 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-smallworld", help="generate a small-world instance")
     p.add_argument("--k", type=float, help="ring degree fraction")
-    p.add_argument("--beta", type=float, help="rewiring probability (default 0.5)")
+    p.add_argument("--beta", type=float,
+                   help=f"rewiring probability (default {SmallWorldConfig.beta})")
     add_generator_flags(p)
 
     p = sub.add_parser("solve", help="solve an instance file")
@@ -114,8 +122,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="solver to run (repeatable; default bb)")
     p.add_argument("--time-limit", type=_time_limit, default=DEFAULT_TIME_LIMIT)
     p.add_argument("--out", type=Path, required=True, help="output CSV file")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes (default 1)")
+    p.add_argument("--workers", type=_workers, default=1,
+                   help="parallel worker processes, at most one per task (default 1)")
     p.add_argument("--no-timing", action="store_true",
                    help="report all seconds fields as 0.000 (reproducible output)")
 
@@ -125,60 +133,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merged(
-    args: argparse.Namespace,
-    profile: dict[str, str],
-    flag: str,
-    key: str,
-    cast: Callable,
-    default=None,
-    required: bool = False,
-):
-    value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    if key in profile:
-        return cast(profile[key])
-    if required and default is None:
-        raise InvariantError(f"missing required parameter {key!r} (flag --{flag} or profile)")
-    return default
-
-
-def _merged_range(args, profile, flag: str, lo_key: str, hi_key: str, default):
-    explicit = getattr(args, flag, None)
-    if explicit is not None:
-        return (explicit[0], explicit[1])
-    if lo_key in profile or hi_key in profile:
-        if not (lo_key in profile and hi_key in profile):
-            raise InvariantError(f"profile must set both {lo_key} and {hi_key}")
-        return (int(profile[lo_key]), int(profile[hi_key]))
-    return default
+_CASTS = {"n": int, "r": float, "seed": int, "d": float, "k": float, "beta": float}
 
 
 def _cmd_generate(args: argparse.Namespace, family: str) -> int:
+    # The config gets only the fields that a flag or the profile sets and
+    # fills in the rest from its own defaults.  A flag wins over the
+    # profile; a profile key the family does not read is ignored.
     profile = parse_profile(args.profile.read_text(encoding="ascii")) if args.profile else {}
-    n = _merged(args, profile, "n", "n", int, required=True)
-    r = _merged(args, profile, "r", "r", float, required=True)
-    seed = _merged(args, profile, "seed", "seed", int, default=0)
-    weights = _merged_range(args, profile, "weights", "weight_lo", "weight_hi", (1, 100))
     if family == "random":
-        d = _merged(args, profile, "d", "d", float, required=True)
-        penalties = _merged_range(args, profile, "penalty", "penalty_lo", "penalty_hi", (25, 125))
-        config = RandomConfig(n=n, d=d, r=r, penalty_range=penalties,
-                              weight_range=weights, seed=seed)
-        instance = generate_random(config)
-        name = bench_filename("random", n, "d", d, r, *penalties, seed)
+        make, generate, density, keys = RandomConfig, generate_random, "d", ("d",)
     else:
-        k = _merged(args, profile, "k", "k", float, required=True)
-        beta = _merged(args, profile, "beta", "beta", float, default=0.5)
-        penalties = _merged_range(args, profile, "penalty", "penalty_lo", "penalty_hi", (1, 20))
-        config = SmallWorldConfig(n=n, k=k, beta=beta, r=r, penalty_range=penalties,
-                                  weight_range=weights, seed=seed)
-        instance = generate_small_world(config)
-        name = bench_filename("smallworld", n, "k", k, r, *penalties, seed)
+        make, generate, density, keys = SmallWorldConfig, generate_small_world, "k", ("k", "beta")
+    fields = {}
+    for key in ("n", "r", "seed", *keys):
+        if getattr(args, key) is not None:
+            fields[key] = getattr(args, key)
+        elif key in profile:
+            fields[key] = _CASTS[key](profile[key])
+        elif key in ("n", "r", density):
+            raise InvariantError(f"missing required parameter {key!r} (flag --{key} or profile)")
+    for flag, stem in (("weights", "weight"), ("penalty", "penalty")):
+        lo, hi = f"{stem}_lo", f"{stem}_hi"
+        if getattr(args, flag) is not None:
+            fields[f"{stem}_range"] = tuple(getattr(args, flag))
+        elif lo in profile or hi in profile:
+            if not (lo in profile and hi in profile):
+                raise InvariantError(f"profile must set both {lo} and {hi}")
+            fields[f"{stem}_range"] = (int(profile[lo]), int(profile[hi]))
+    config = make(**fields)
+    name = bench_filename(family, config.n, density, getattr(config, density), config.r,
+                          *config.penalty_range, config.seed)
     out = args.out if args.out is not None else args.out_dir / name
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_instance(instance, out)
+    save_instance(generate(config), out)
     print(out)
     return 0
 

@@ -16,9 +16,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import ArcRecord, ConflictRecord, Instance, InvariantError
-from .solvers import INFINITY, dijkstra
+from .solvers import shortest_path_vertices
+
+_RETRIES = 100  # arc draws before a configuration is reported unsatisfiable
 
 
 class UnsatisfiableConfigError(RuntimeError):
@@ -138,70 +141,63 @@ def _decode_unordered_pair(q: int, m: int) -> tuple[int, int]:
     return i, j
 
 
-def _finish(
-    n: int,
-    pairs: list[tuple[int, int]],
-    r: float,
-    weight_range: tuple[int, int],
-    penalty_range: tuple[int, int],
-    seed: int,
-) -> Instance | None:
-    # Shared tail of both generators: fix arc order, then draw weights,
-    # conflict pairs, and penalties from their own substreams, none of
-    # which depends on the retry attempt.  None when the sink is
-    # unreachable, so the caller resamples the arcs.
-    pairs = sorted(pairs)
-    m = len(pairs)
-    weight_rng = _stream(seed, "weights")
-    arcs = tuple(
-        ArcRecord(tail, head, weight_rng.randint(*weight_range))
-        for tail, head in pairs
-    )
-    c = conflict_count(r, m)
-    max_pairs = m * (m - 1) // 2
-    if c > max_pairs:
-        raise UnsatisfiableConfigError(
-            f"r={r} asks for {c} conflicts but only {max_pairs} arc pairs exist"
+def _generate(
+    config: RandomConfig | SmallWorldConfig, label: str,
+    draw: Callable[[random.Random], list[tuple[int, int]]],
+) -> Instance:
+    # Both generators: draw(rng) gives one attempt's arcs as ordered vertex
+    # pairs from the attempt's own substream.  Arc order, weights, conflict
+    # pairs and penalties come from substreams that do not depend on the
+    # attempt.  Arcs that cannot reach the sink are drawn again.
+    n, r, seed = config.n, config.r, config.seed
+    for attempt in range(_RETRIES):
+        pairs = sorted(draw(_stream(seed, label, attempt)))
+        m = len(pairs)
+        weight_rng = _stream(seed, "weights")
+        arcs = tuple(
+            ArcRecord(tail, head, weight_rng.randint(*config.weight_range))
+            for tail, head in pairs
         )
-    conflict_rng = _stream(seed, "conflicts")
-    chosen = sorted(
-        _decode_unordered_pair(q, m)
-        for q in conflict_rng.sample(range(max_pairs), c)
-    )
-    penalty_rng = _stream(seed, "penalties")
-    conflicts = tuple(
-        ConflictRecord(a, b, penalty_rng.randint(*penalty_range))
-        for a, b in chosen
-    )
-    instance = Instance(
-        vertex_count=n, arcs=arcs, conflicts=conflicts, source=0, sink=n - 1
-    )
-    dist, _ = dijkstra(instance, target=n - 1)
-    return None if dist[n - 1] == INFINITY else instance
+        c = conflict_count(r, m)
+        max_pairs = m * (m - 1) // 2
+        if c > max_pairs:
+            raise UnsatisfiableConfigError(
+                f"r={r} asks for {c} conflicts but only {max_pairs} arc pairs exist"
+            )
+        conflict_rng = _stream(seed, "conflicts")
+        chosen = sorted(
+            _decode_unordered_pair(q, m)
+            for q in conflict_rng.sample(range(max_pairs), c)
+        )
+        penalty_rng = _stream(seed, "penalties")
+        conflicts = tuple(
+            ConflictRecord(a, b, penalty_rng.randint(*config.penalty_range))
+            for a, b in chosen
+        )
+        instance = Instance(
+            vertex_count=n, arcs=arcs, conflicts=conflicts, source=0, sink=n - 1
+        )
+        if shortest_path_vertices(instance) is not None:
+            return instance
+    if isinstance(config, RandomConfig):
+        attempts = f"arc samples (n={n}, d={config.d})"
+    else:
+        attempts = f"rewiring passes (n={n}, k={config.k})"
+    raise UnsatisfiableConfigError(f"sink unreachable after {_RETRIES} {attempts}")
 
 
-def generate_random(config: RandomConfig, max_retries: int = 100) -> Instance:
+def generate_random(config: RandomConfig) -> Instance:
     """Uniform random digraph with round(d*n*(n-1)) arcs, source 0, sink n-1.
 
     Arc sets unable to reach the sink are rejected and resampled from a
-    fresh substream; after max_retries rejections the configuration is
+    fresh substream; after 100 rejections the configuration is
     reported unsatisfiable.
     """
     n = config.n
     m = arc_count(n, config.d)
-    for attempt in range(max_retries):
-        rng = _stream(config.seed, "arcs", attempt)
-        pairs = [
-            _decode_ordered_pair(q, n) for q in rng.sample(range(n * (n - 1)), m)
-        ]
-        instance = _finish(
-            n, pairs, config.r, config.weight_range, config.penalty_range, config.seed
-        )
-        if instance is not None:
-            return instance
-    raise UnsatisfiableConfigError(
-        f"sink unreachable after {max_retries} arc samples (n={n}, d={config.d})"
-    )
+    return _generate(config, "arcs", lambda rng: [
+        _decode_ordered_pair(q, n) for q in rng.sample(range(n * (n - 1)), m)
+    ])
 
 
 def _ring_pairs(n: int, degree: int) -> list[tuple[int, int]]:
@@ -216,7 +212,7 @@ def _ring_pairs(n: int, degree: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def generate_small_world(config: SmallWorldConfig, max_retries: int = 100) -> Instance:
+def generate_small_world(config: SmallWorldConfig) -> Instance:
     """Rewired ring lattice with n * ring_degree(n, k) directed arcs.
 
     Each directed arc is independently rewired with probability beta by
@@ -226,10 +222,9 @@ def generate_small_world(config: SmallWorldConfig, max_retries: int = 100) -> In
     preserved exactly.  beta=0 returns the unmodified lattice.
     """
     n = config.n
-    degree = ring_degree(n, config.k)
-    base = _ring_pairs(n, degree)
-    for attempt in range(max_retries):
-        rng = _stream(config.seed, "rewire", attempt)
+    base = _ring_pairs(n, ring_degree(n, config.k))
+
+    def rewire(rng: random.Random) -> list[tuple[int, int]]:
         pairs = list(base)
         arc_set = set(pairs)
         for idx in range(len(pairs)):
@@ -243,14 +238,9 @@ def generate_small_world(config: SmallWorldConfig, max_retries: int = 100) -> In
                     arc_set.add((tail, candidate))
                     pairs[idx] = (tail, candidate)
                     break
-        instance = _finish(
-            n, pairs, config.r, config.weight_range, config.penalty_range, config.seed
-        )
-        if instance is not None:
-            return instance
-    raise UnsatisfiableConfigError(
-        f"sink unreachable after {max_retries} rewiring passes (n={n}, k={config.k})"
-    )
+        return pairs
+
+    return _generate(config, "rewire", rewire)
 
 
 def parse_profile(text: str) -> dict[str, str]:

@@ -155,25 +155,29 @@ def dijkstra(
     return dist, pred
 
 
-def _path(
-    instance: Instance, pred: Sequence[Optional[int]], origin: int, target: int
-) -> Optional[tuple[int, ...]]:
-    # Walks forward predecessor arcs back from target to origin; None
-    # when the search never reached target.
+def _route(
+    instance: Instance, origin: int, target: int,
+    banned_vertices: frozenset[int] | set[int] = frozenset(),
+    banned_arcs: frozenset[int] | set[int] = frozenset(),
+) -> Optional[tuple[float, tuple[int, ...]]]:
+    # (arc cost, vertices) of the cheapest origin -> target route that
+    # avoids the bans, or None when target is unreachable.  dijkstra is
+    # called through the module attribute, so a wrapper counts it.
+    dist, pred = dijkstra(instance, origin=origin, target=target,
+                          banned_vertices=banned_vertices, banned_arcs=banned_arcs)
+    if dist[target] == INFINITY:
+        return None
     verts = [target]
     while verts[-1] != origin:
-        arc = pred[verts[-1]]
-        if arc is None:
-            return None
-        verts.append(instance.arcs[arc].tail)
+        verts.append(instance.tails[pred[verts[-1]]])
     verts.reverse()
-    return tuple(verts)
+    return dist[target], tuple(verts)
 
 
 def shortest_path_vertices(instance: Instance) -> Optional[tuple[int, ...]]:
     """Vertices of a conflict-blind shortest source-sink path, or None."""
-    _, pred = dijkstra(instance, target=instance.sink)
-    return _path(instance, pred, instance.source, instance.sink)
+    found = _route(instance, instance.source, instance.sink)
+    return None if found is None else found[1]
 
 
 def enumerate_simple_paths(instance: Instance) -> Iterator[tuple[int, ...]]:
@@ -259,7 +263,7 @@ def _conflict_multipliers(
     instance: Instance,
     first: tuple[list[float], list[Optional[int]]],
     run: _Run,
-) -> tuple[list[int], list[float]]:
+) -> tuple[list[int], list[float], tuple[int, ...]]:
     """Integer Lagrangian multipliers for the conflicts, by subgradient ascent.
 
     Since p*|1 - x_a - x_b| >= mu*(1 - x_a - x_b) whenever |mu| <= p,
@@ -274,8 +278,9 @@ def _conflict_multipliers(
     each multiplier with a nonzero subgradient then sits at the clip bound
     it is pushed against, so every later round, whatever its step, would
     repeat the same bound and leave mu where it is.  first is the backward
-    dijkstra at mu = 0.  Returns the multipliers of the best bound and their
-    backward distances under max(0, r).
+    dijkstra at mu = 0.  Returns the multipliers of the best bound, their
+    backward distances under max(0, r), and the path of least objective
+    among the rounds' paths (round 0's is a conflict-blind shortest path).
     """
     arcs = instance.arcs
     weights = instance.weights
@@ -284,7 +289,7 @@ def _conflict_multipliers(
     mu = [0] * len(conflicts)
     dist, pred = first
     best, best_mu, best_dist = -INFINITY, mu, dist
-    target = INFINITY
+    target, best_pred = INFINITY, pred
     scale = 1.0
     stale = 0
     for round_ in range(LAGRANGE_ROUNDS):
@@ -305,10 +310,12 @@ def _conflict_multipliers(
             chosen[a] = True
             cost += weights[a]
             v = arcs[a].head
-        target = min(target, cost + sum(
+        objective = cost + sum(
             c.penalty for c in conflicts
             if (c.arc_a in path_arcs) == (c.arc_b in path_arcs)
-        ))
+        )
+        if objective < target:
+            target, best_pred = objective, pred
         if bound > best:
             best, best_mu, best_dist, stale = bound, mu, dist, 0
         else:
@@ -327,7 +334,10 @@ def _conflict_multipliers(
         if moved == mu:
             break
         mu = moved
-    return best_mu, best_dist
+    path = [source]
+    while path[-1] != sink:
+        path.append(arcs[best_pred[path[-1]]].head)
+    return best_mu, best_dist, tuple(path)
 
 
 def branch_and_bound(
@@ -366,11 +376,11 @@ def branch_and_bound(
 
     The wall clock is consulted at the root and every 1024 nodes.  A
     deadline that passed while the multipliers were chosen stops the walk
-    at the root; the report then carries the root bound and the
-    conflict-blind shortest path as the incumbent.  On a timeout the
-    report carries the incumbent and a lower bound no larger than any
-    open node's bound.  The two hooks serve instrumentation: the tests
-    and perfbench's tracing pass them.
+    at the root; the report then carries the root bound and, as the
+    incumbent, the least-objective path among those the multiplier rounds
+    priced.  On a timeout the report carries the incumbent and a lower
+    bound no larger than any open node's bound.  The two hooks serve
+    instrumentation: the tests and perfbench's tracing pass them.
     """
     run = _Run(time_limit)
     dist_sink, pred_sink = dijkstra(instance, from_sink=True)
@@ -383,7 +393,7 @@ def branch_and_bound(
     if dist_sink[source] == INFINITY:
         return run.report(SolveStatus.INFEASIBLE, INFINITY, 0)
 
-    mu, dist_mu = _conflict_multipliers(instance, (dist_sink, pred_sink), run)
+    mu, dist_mu, priced = _conflict_multipliers(instance, (dist_sink, pred_sink), run)
     negative = [min(0, r) for r in _reduced_costs(instance, mu)]
     # partners[a]: (other arc, multiplier, penalty) per conflict of arc a.
     partners: list[tuple[tuple[int, int, int], ...]] = [()] * len(arcs)
@@ -490,9 +500,9 @@ def branch_and_bound(
     timed_out = run.expired()
     if timed_out:
         # The deadline passed while the multipliers were chosen: the root is
-        # visited and abandoned, and the conflict-blind shortest path stands
+        # visited and abandoned, and the best path the rounds priced stands
         # as the incumbent.
-        run.offer(evaluate(instance, shortest_path_vertices(instance)))
+        run.offer(evaluate(instance, priced))
         ub = run.best.objective
     try:
         visit(source, 0, root_bound)
@@ -517,12 +527,11 @@ def _yen(instance: Instance) -> Iterator[tuple[int, tuple[int, ...]]]:
     # Yen's paths in order, each (arc cost, vertices); the next path is
     # computed only when asked for, so a consumer can stop at a deadline.
     sink = instance.sink
-    dist, pred = dijkstra(instance, target=sink)
-    first = _path(instance, pred, instance.source, sink)
+    first = _route(instance, instance.source, sink)
     if first is None:
         return
-    found: list[tuple[int, tuple[int, ...]]] = [(dist[sink], first)]
-    seen = {first}
+    found: list[tuple[int, tuple[int, ...]]] = [first]
+    seen = {first[1]}
     candidates: list[tuple[int, tuple[int, ...]]] = []
     lookup = instance.arc_index
     while True:
@@ -537,17 +546,13 @@ def _yen(instance: Instance) -> Iterator[tuple[int, tuple[int, ...]]]:
                 for _, p in found
                 if len(p) > i + 1 and p[: i + 1] == root
             }
-            dist, pred = dijkstra(
-                instance, origin=spur, target=sink,
-                banned_vertices=set(root[:-1]), banned_arcs=banned_arcs,
-            )
-            spur_part = _path(instance, pred, spur, sink)
-            if spur_part is not None:
-                total = root_cost + dist[sink]
-                full = root[:-1] + spur_part
+            spur_route = _route(instance, spur, sink, banned_vertices=set(root[:-1]),
+                                banned_arcs=banned_arcs)
+            if spur_route is not None:
+                full = root[:-1] + spur_route[1]
                 if full not in seen:
                     seen.add(full)
-                    heapq.heappush(candidates, (total, full))
+                    heapq.heappush(candidates, (root_cost + spur_route[0], full))
             root_cost += instance.arcs[lookup[(prev[i], prev[i + 1])]].weight
         if not candidates:
             return
@@ -572,6 +577,7 @@ def _detours(
     p[j] is reachable along p itself.
     """
     tails = instance.tails
+    lookup = instance.arc_index
     origin = p[i]
     banned = set(p[:i])
     _, pred = dijkstra(instance, origin=origin, banned_vertices=banned)
@@ -594,13 +600,9 @@ def _detours(
             arcs.reverse()
             yield j, arcs
             continue
-        _, came_by = dijkstra(
-            instance, origin=origin, target=target,
-            banned_vertices=banned.union(p[j + 1:]),
-        )
-        route = _path(instance, came_by, origin, target)
+        _, route = _route(instance, origin, target, banned_vertices=banned.union(p[j + 1:]))
         if route != p[i: j + 1]:
-            yield j, [came_by[v] for v in route[1:]]
+            yield j, [lookup[pair] for pair in zip(route, route[1:])]
 
 
 def _detour_objective(
@@ -659,13 +661,6 @@ def local_search(
         evaluated += 1
         return evaluate(instance, verts)
 
-    def route(origin: int, target: int, banned: set[int]) -> Optional[tuple[int, ...]]:
-        # Cheapest origin -> target path through no banned vertex.
-        _, came_by = dijkstra(
-            instance, origin=origin, target=target, banned_vertices=banned
-        )
-        return _path(instance, came_by, origin, target)
-
     def best_detour(sol: PathSolution) -> Optional[PathSolution]:
         # Best strict improvement over every (i, j) subpath replacement,
         # the first found on ties; each candidate is priced by its delta.
@@ -703,13 +698,14 @@ def local_search(
             w = rng.randrange(0, instance.vertex_count)
             if w in p:
                 continue
-            first = route(p[i], w, set(p[:i]) | set(p[j:]))
+            first = _route(instance, p[i], w, banned_vertices=set(p[:i]) | set(p[j:]))
             if first is None:
                 continue
-            second = route(w, p[j], set(p[: i + 1]) | set(p[j + 1:]) | set(first))
+            second = _route(instance, w, p[j],
+                            banned_vertices=set(p[: i + 1]) | set(p[j + 1:]) | set(first[1]))
             if second is None:
                 continue
-            return assess(p[:i] + first + second[1:] + p[j + 1:])
+            return assess(p[:i] + first[1] + second[1][1:] + p[j + 1:])
         return None
 
     run.offer(assess(shortest))

@@ -201,6 +201,42 @@ def test_run_bench_parallel_matches_serial(tmp_path):
     assert render_bench_csv(serial) == render_bench_csv(parallel)
 
 
+def test_run_bench_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # The pool is faked: it records its size and maps in-process, so no
+    # process starts, whatever size is asked for.
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    _fill_directory(tmp_path, n_values=(8,), seeds=(0, 1))
+    serial = run_bench(tmp_path, methods=("bb",), timing=False)
+    assert run_bench(tmp_path, methods=("bb",), timing=False, workers=64) == serial
+    assert sizes == [2]
+    sorted(tmp_path.glob("*.spedac"))[1].unlink()
+    run_bench(tmp_path, methods=("bb",), timing=False, workers=64)
+    assert sizes == [2]  # one task runs serially
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_bench(tmp_path, workers=workers)
+
+
 def test_run_bench_small_world_family(tmp_path):
     for seed in (0, 1):
         config = SmallWorldConfig(n=12, k=0.2, beta=0.5, r=0.01, seed=seed)

@@ -96,6 +96,41 @@ def test_gen_profile_with_flag_override(tmp_path):
     assert out.read_text(encoding="ascii") == render_instance(expected)
 
 
+@pytest.mark.parametrize(
+    "argv, expected, name",
+    [
+        (
+            ["gen-random", "--n", "12", "--d", "0.3", "--r", "0.002", "--seed", "5"],
+            lambda: generate_random(RandomConfig(n=12, d=0.3, r=0.002, seed=5)),
+            "random_n12_d0.3_r0.002_p25-125_s5.spedac",
+        ),
+        (
+            ["gen-smallworld", "--n", "30", "--k", "0.2", "--r", "0.001"],
+            lambda: generate_small_world(SmallWorldConfig(n=30, k=0.2, r=0.001)),
+            "smallworld_n30_k0.2_r0.001_p1-20_s0.spedac",
+        ),
+    ],
+)
+def test_gen_defaults_are_the_configs(tmp_path, argv, expected, name):
+    # No optional flag: the weights, penalties, beta and seed are the
+    # config's defaults, in the file and in its name.
+    out = tmp_path / "inst.spedac"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_text(encoding="ascii") == render_instance(expected())
+    assert main([*argv, "--out-dir", str(tmp_path / "set")]) == 0
+    assert [p.name for p in (tmp_path / "set").iterdir()] == [name]
+    assert (tmp_path / "set" / name).read_bytes() == out.read_bytes()
+
+
+def test_gen_random_ignores_profile_keys_it_does_not_read(tmp_path):
+    profile = tmp_path / "family.profile"
+    profile.write_text("n=12\nd=0.3\nr=0.002\nbeta=0.2\n")
+    out = tmp_path / "inst.spedac"
+    assert main(["gen-random", "--profile", str(profile), "--out", str(out)]) == 0
+    expected = generate_random(RandomConfig(n=12, d=0.3, r=0.002))
+    assert out.read_text(encoding="ascii") == render_instance(expected)
+
+
 def test_gen_missing_parameter_exits_2(tmp_path, capsys):
     code = main(["gen-random", "--n", "10", "--d", "0.3", "--out",
                  str(tmp_path / "x.spedac")])
@@ -193,6 +228,16 @@ def test_time_limit_rejects_nan_and_negatives(tmp_path, capsys, golden, command,
         main(argv)
     assert exc.value.code == 2
     assert "time limit must be a non-negative number" in capsys.readouterr().err
+    assert not (tmp_path / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "1.5", "two"])
+def test_bench_workers_must_be_at_least_one(tmp_path, capsys, workers):
+    argv = ["bench", str(tmp_path), f"--workers={workers}", "--out", str(tmp_path / "bench.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "workers must be a whole number of at least 1" in capsys.readouterr().err
     assert not (tmp_path / "bench.csv").exists()
 
 

@@ -131,8 +131,9 @@ def test_generate_random_rejects_impossible_conflict_ratio():
 
 
 def test_generate_random_retry_exhaustion():
-    with pytest.raises(UnsatisfiableConfigError, match="sink unreachable"):
-        generate_random(RandomConfig(n=50, d=0.02, r=0.0, seed=0), max_retries=0)
+    # Two arcs on 200 vertices miss the sink in all 100 draws.
+    with pytest.raises(UnsatisfiableConfigError, match="sink unreachable after 100 arc samples"):
+        generate_random(RandomConfig(n=200, d=5e-5, r=0.0, seed=0))
 
 
 def test_conflict_count_error_comes_before_retry_exhaustion():

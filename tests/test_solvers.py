@@ -356,8 +356,8 @@ def test_branch_and_bound_timeout_keeps_valid_bounds():
 
 def test_branch_and_bound_stops_at_the_root_on_a_past_deadline():
     # The deadline has passed before the walk starts, so only the root is
-    # visited: the LB is its bound, the incumbent the conflict-blind
-    # shortest path.
+    # visited and the LB is its bound.  Only round 0 of the multipliers
+    # runs, and its path, the incumbent, is a conflict-blind shortest path.
     instance = _timeout_instance()
     optimum = branch_and_bound(instance).upper_bound
     roots = []
@@ -368,6 +368,31 @@ def test_branch_and_bound_stops_at_the_root_on_a_past_deadline():
     assert report.nodes_explored == len(roots) == 1
     assert report.incumbent.arc_cost == dijkstra(instance)[0][instance.sink]
     assert report.lower_bound == min(roots[0], report.upper_bound) <= optimum
+
+
+def test_branch_and_bound_root_timeout_keeps_the_best_priced_path(monkeypatch):
+    # A clock that expires the moment the multiplier rounds return: the walk
+    # stops at the root, and the incumbent is the best path the rounds
+    # priced rather than the conflict-blind shortest path.
+    instance = generate_random(RandomConfig(n=40, d=0.1, r=1e-3, seed=3))
+    returned = False
+    choose = solvers._conflict_multipliers
+
+    def chosen(*args, **kwargs):
+        nonlocal returned
+        result = choose(*args, **kwargs)
+        returned = True
+        return result
+
+    monkeypatch.setattr(solvers, "_conflict_multipliers", chosen)
+    monkeypatch.setattr(solvers._Run, "expired", lambda run: returned)
+    report = branch_and_bound(instance)
+    assert report.status is SolveStatus.TIME_LIMIT
+    assert report.nodes_explored == 1
+    blind = evaluate(instance, shortest_path_vertices(instance)).objective
+    assert (report.upper_bound, blind) == (752, 882)
+    assert evaluate(instance, report.incumbent.vertices).objective == report.upper_bound
+    assert report.lower_bound <= report.upper_bound
 
 
 def test_branch_and_bound_stops_the_multipliers_once_they_stall(
