@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import re
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -75,37 +78,26 @@ def bench_filename(
     )
 
 
+_NAME = re.compile(r"([^_]*)_n([^_]*)_([dk])([^_]*)_r([^_]*)_p([^_-]*)-([^_]*)_s([^_]*)")
+
+
 def parse_bench_filename(name: str) -> BenchName:
-    """Recover the grouping keys from a benchmark file name."""
+    """Recover the grouping keys from a benchmark file name.
+
+    n, the penalty bounds and the seed must be integers, the density and
+    r finite numbers.
+    """
     if not name.endswith(SUFFIX):
         raise ValueError(f"{name!r} does not end in {SUFFIX}")
-    parts = name[: -len(SUFFIX)].split("_")
-    if len(parts) != 6:
+    match = _NAME.fullmatch(name[: -len(SUFFIX)])
+    if match is None:
         raise ValueError(f"{name!r} does not match family_n.._d.._r.._p..-.._s..")
-    family, n_part, density_part, r_part, p_part, s_part = parts
-    if (
-        not n_part.startswith("n")
-        or density_part[:1] not in ("d", "k")
-        or not r_part.startswith("r")
-        or not p_part.startswith("p")
-        or "-" not in p_part
-        or not s_part.startswith("s")
-    ):
-        raise ValueError(f"{name!r} does not match family_n.._d.._r.._p..-.._s..")
-    p_lo, p_hi = p_part[1:].split("-", 1)
-    try:
-        return BenchName(
-            family=family,
-            n=int(n_part[1:]),
-            density_key=density_part[0],
-            density_text=density_part[1:],
-            r_text=r_part[1:],
-            p_lo=int(p_lo),
-            p_hi=int(p_hi),
-            seed=int(s_part[1:]),
-        )
-    except ValueError:
-        raise ValueError(f"{name!r} carries a non-numeric field") from None
+    family, n, key, density, r, p_lo, p_hi, seed = match.groups()
+    with suppress(ValueError):
+        meta = BenchName(family, int(n), key, density, r, int(p_lo), int(p_hi), int(seed))
+        if math.isfinite(meta.density) and math.isfinite(meta.r):
+            return meta
+    raise ValueError(f"{name!r} carries a non-numeric field")
 
 
 def solve_with_method(
@@ -234,9 +226,12 @@ def run_bench(
     check_time_limit(time_limit)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
+    methods = list(dict.fromkeys(methods))  # a repeated method runs once
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; pick one of {', '.join(METHODS)}")
+    if not Path(directory).is_dir():
+        raise NotADirectoryError(f"{directory} is not a directory")
     paths = sorted(Path(directory).glob(f"*{SUFFIX}"))
     tasks = [
         (str(path), method, time_limit, timing)

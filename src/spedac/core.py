@@ -296,70 +296,44 @@ def validate_selection(
     """
     if len(arc_flags) != len(instance.arcs):
         raise ValueError("arc flag count does not match the instance")
-    selected = [i for i, f in enumerate(arc_flags) if f]
-    n = instance.vertex_count
-    out_deg = [0] * n
-    in_deg = [0] * n
-    for i in selected:
-        out_deg[instance.arcs[i].tail] += 1
-        in_deg[instance.arcs[i].head] += 1
-
-    def required(v: int) -> int:
-        if v == instance.source:
-            return 1
-        if v == instance.sink:
-            return -1
-        return 0
-
-    check_order = [instance.source, instance.sink] + [
-        v for v in range(n) if v not in (instance.source, instance.sink)
-    ]
-    for v in check_order:
-        if out_deg[v] - in_deg[v] != required(v):
+    source, sink, n = instance.source, instance.sink, instance.vertex_count
+    # excess: out - in - the required +1 at the source / -1 at the sink.
+    excess = [0] * n
+    excess[source], excess[sink] = -1, 1
+    heads: list[list[int]] = [[] for _ in range(n)]  # of selected out-arcs
+    for arc, flag in zip(instance.arcs, arc_flags):
+        if flag:
+            excess[arc.tail] += 1
+            excess[arc.head] -= 1
+            heads[arc.tail].append(arc.head)
+    for v in (source, sink, *range(n)):
+        if excess[v]:
             return SelectionViolation(kind="flow_imbalance", vertex=v)
 
-    out_sel: list[list[int]] = [[] for _ in range(n)]
-    for i in selected:
-        out_sel[instance.arcs[i].tail].append(i)
+    # Now a walk never gets stuck.  Before a walk, every vertex other
+    # than the source and the sink has as many unused out-arcs as unused
+    # in-arcs: all of them are balanced before the first walk, and the
+    # first walk, when it reaches the sink, has used a simple source-sink
+    # path, which leaves the unused arcs balanced everywhere.  A vertex
+    # the walk enters for the first time, other than stop, has had none
+    # of its out-arcs used by the walk and one in-arc just used, so an
+    # out-arc is left.  The second walk has no stop: it returns a cycle.
+    def walk(start: int, stop: int | None) -> Union[list[int], SelectionViolation]:
+        # Follows unused arcs, smallest index first, until it reaches
+        # stop or repeats a vertex, which closes the returned cycle.
+        seq, position = [start], {start: 0}
+        while seq[-1] != stop:
+            v = heads[seq[-1]].pop(0)
+            if v in position:
+                return SelectionViolation(kind="cycle", cycle=frozenset(seq[position[v]:]))
+            position[v] = len(seq)
+            seq.append(v)
+        return seq
 
-    used = [False] * len(instance.arcs)
-
-    def walk(start: int, stop_at_sink: bool) -> Union[list[int], SelectionViolation]:
-        # Follows unused selected arcs (smallest index first) from start;
-        # either terminates cleanly or returns a cycle witness.
-        seq = [start]
-        position = {start: 0}
-        current = start
-        while True:
-            if stop_at_sink and current == instance.sink:
-                return seq
-            nxt = None
-            for i in out_sel[current]:
-                if not used[i]:
-                    nxt = i
-                    break
-            if nxt is None:
-                return seq
-            used[nxt] = True
-            current = instance.arcs[nxt].head
-            if current in position:
-                return SelectionViolation(
-                    kind="cycle", cycle=frozenset(seq[position[current]:])
-                )
-            position[current] = len(seq)
-            seq.append(current)
-
-    outcome = walk(instance.source, stop_at_sink=True)
-    if isinstance(outcome, SelectionViolation):
-        return outcome
-    main_path = outcome
-    if main_path[-1] != instance.sink or sum(used) != len(selected):
-        # Balanced leftovers necessarily contain a cycle; walk one out.
-        for v in range(n):
-            if any(not used[i] for i in out_sel[v]):
-                leftover = walk(v, stop_at_sink=False)
-                if isinstance(leftover, SelectionViolation):
-                    return leftover
-        # Unreachable when the balance checks above passed.
-        raise AssertionError("balanced selection without a traceable cycle")
-    return evaluate(instance, main_path)
+    path = walk(source, sink)
+    if isinstance(path, SelectionViolation):
+        return path
+    leftover = next((v for v in range(n) if heads[v]), None)
+    if leftover is not None:
+        return walk(leftover, None)
+    return evaluate(instance, path)

@@ -142,19 +142,17 @@ def export_flow_model(instance: Instance, sec_mode: str = "mtz") -> ExportedMode
     # Objective: w*x collects -p for each conflict the arc belongs to,
     # y gets 2p, and the constant sum(p) rides on the fixed variable.
     x_coeff = [a.weight for a in arcs]
-    constant = 0
     for c in instance.conflicts:
         x_coeff[c.arc_a] -= c.penalty
         x_coeff[c.arc_b] -= c.penalty
-        constant += c.penalty
     objective: list[tuple[int, str]] = [
         (coeff, name) for coeff, name in zip(x_coeff, x_name) if coeff != 0
     ]
     objective.extend(
         (2 * c.penalty, y_name[k]) for k, c in enumerate(instance.conflicts)
     )
-    if constant != 0:
-        objective.append((constant, CONSTANT_VAR))
+    if instance.penalty_total:
+        objective.append((instance.penalty_total, CONSTANT_VAR))
 
     rows: list[ConstraintRow] = []
     for v in range(n):
@@ -199,7 +197,7 @@ def export_flow_model(instance: Instance, sec_mode: str = "mtz") -> ExportedMode
     return ExportedModel(
         variables=tuple(variables),
         objective_terms=tuple(objective),
-        objective_constant=constant,
+        objective_constant=instance.penalty_total,
         rows=tuple(rows),
         header=tuple(header),
         sec_mode=sec_mode,
@@ -216,16 +214,14 @@ def verify_model_at_point(
     the assignment misses any catalog variable.
     """
     values: dict[str, Fraction] = {}
+    violated: list[str] = []
     for var in model.variables:
         if var.name not in assignment:
             raise MissingVariableError(var.name)
-        values[var.name] = Fraction(assignment[var.name])
-    violated: list[str] = []
-    for var in model.variables:
-        value = values[var.name]
-        if value < var.lower or value > var.upper:
-            violated.append(f"bound_{var.name}")
-        elif var.kind == "binary" and value not in (0, 1):
+        value = values[var.name] = Fraction(assignment[var.name])
+        if not var.lower <= value <= var.upper or (
+            var.kind == "binary" and value not in (0, 1)
+        ):
             violated.append(f"bound_{var.name}")
     for row in model.rows:
         lhs = sum((coeff * values[name] for coeff, name in row.terms), Fraction(0))

@@ -20,6 +20,7 @@ from .core import Instance, PathSolution, evaluate, satisfied_conflicts
 
 INFINITY = math.inf
 LOCAL_SEARCH_POOL = 50  # k-shortest paths evaluated before the descent
+BRUTE_FORCE_PATHS = 1_000_000  # simple paths brute_force enumerates at most
 LOCAL_SEARCH_RESTARTS = 8  # perturbation kicks after the first descent
 LAGRANGE_ROUNDS = 40  # subgradient rounds for the B&B root multipliers
 LAGRANGE_PATIENCE = 2  # rounds without a better bound before the step halves
@@ -221,14 +222,10 @@ def _simple_paths(instance: Instance, run: _Run) -> Iterator[Optional[tuple[int,
                 yield None
 
 
-def brute_force(
-    instance: Instance,
-    max_paths: int = 1_000_000,
-    time_limit: Optional[float] = None,
-) -> SolveReport:
+def brute_force(instance: Instance, time_limit: Optional[float] = None) -> SolveReport:
     """Exhaustive oracle: evaluate every simple source-sink path.
 
-    Raises GuardExceededError once more than max_paths paths have been
+    Raises GuardExceededError once more than BRUTE_FORCE_PATHS paths have been
     enumerated or the optional time guard trips.  Among equal-objective
     optima the first path in enumeration order is kept.
     """
@@ -240,9 +237,9 @@ def brute_force(
                 f"time guard of {time_limit} s exceeded after {count} paths"
             )
         count += 1
-        if count > max_paths:
+        if count > BRUTE_FORCE_PATHS:
             raise GuardExceededError(
-                f"more than {max_paths} simple paths enumerated"
+                f"more than {BRUTE_FORCE_PATHS} simple paths enumerated"
             )
         run.offer(evaluate(instance, verts))
     if run.best is None:

@@ -42,6 +42,16 @@ def _fill_directory(tmp_path, n_values=(8, 10), seeds=(0, 1, 2)):
 
 # --- file names -----------------------------------------------------------
 
+# Names of the bench grammar whose density or r is no finite number.
+BAD_NUMBER_NAMES = [
+    "random_n8_dabc_r0.01_p5-50_s0.spedac",
+    "random_n8_d0.4_rx_p5-50_s0.spedac",
+    "random_n8_d_r0.01_p5-50_s0.spedac",
+    "random_n8_dnan_r0.01_p5-50_s0.spedac",
+    "random_n8_d0.4_rinf_p5-50_s0.spedac",
+]
+
+
 def test_filename_round_trip():
     name = bench_filename("random", 300, "d", 0.2, 1e-05, 25, 125, 7)
     assert name == "random_n300_d0.2_r1e-05_p25-125_s7.spedac"
@@ -79,6 +89,9 @@ def test_filename_parse_rejections():
         parse_bench_filename("random_n10_q0.2_r0_p1-9_s0.spedac")
     with pytest.raises(ValueError, match="non-numeric"):
         parse_bench_filename("random_nten_d0.2_r0_p1-9_s0.spedac")
+    for name in BAD_NUMBER_NAMES:
+        with pytest.raises(ValueError, match="non-numeric"):
+            parse_bench_filename(name)
 
 
 # --- method dispatch ------------------------------------------------------
@@ -162,6 +175,36 @@ def test_run_bench_survives_corrupt_files(tmp_path):
     mean = next(r for r in rows if r["_aggregate"] and r["set"] == "d=0.4,n=8")
     assert mean["instance"] == "mean of 2"
     assert mean["UB"] == good["UB"]
+
+
+def test_run_bench_solves_badly_numbered_names_as_ungrouped_rows(tmp_path):
+    _fill_directory(tmp_path, n_values=(8,), seeds=(0, 1))
+    text = sorted(tmp_path.glob("*.spedac"))[0].read_text()
+    for name in BAD_NUMBER_NAMES:
+        (tmp_path / name).write_text(text)
+    (tmp_path / "x.spedac").mkdir()
+    rows = run_bench(tmp_path, methods=("bb", "heur"), timing=False)
+    singles = [row for row in rows if not row["_aggregate"]]
+    assert sorted(r["instance"] for r in singles) == sorted(
+        [p.name for p in tmp_path.iterdir()] * 2
+    )
+    for row in singles:
+        if row["instance"] in BAD_NUMBER_NAMES:
+            assert row["set"] == "" and row["status"] in ("Optimal", "Feasible")
+        elif row["instance"] == "x.spedac":
+            assert row["set"] == "" and row["status"].startswith("ReadError")
+        else:
+            assert row["set"] == "d=0.4,n=8"
+    means = [row for row in rows if row["_aggregate"]]
+    assert sorted((r["method"], r["set"], r["instance"]) for r in means) == [
+        (m, label, "mean of 2") for m in ("bb", "heur") for label in ("d=0.4", "d=0.4,n=8")
+    ]
+
+
+def test_run_bench_runs_a_repeated_method_once(tmp_path):
+    _fill_directory(tmp_path, n_values=(8,), seeds=(0, 1))
+    once = render_bench_csv(run_bench(tmp_path, methods=("bb",), timing=False))
+    assert render_bench_csv(run_bench(tmp_path, methods=("bb", "bb"), timing=False)) == once
 
 
 @pytest.mark.parametrize(

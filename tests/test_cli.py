@@ -284,6 +284,17 @@ def test_bench_writes_csv(tmp_path, capsys, golden):
     assert any(",heur," in line and "Feasible" in line for line in lines)
 
 
+@pytest.mark.parametrize("target", ["absent", "report.csv"])
+def test_bench_needs_a_directory(tmp_path, capsys, target):
+    # A missing directory and a file are both input errors, not empty sweeps.
+    (tmp_path / "report.csv").write_text("set\n")
+    out = tmp_path / "out" / "bench.csv"
+    code = main(["bench", str(tmp_path / target), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / target} is not a directory")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_bench_survives_a_recursion_error(tmp_path, capsys, golden, chain_builder, workers):
     bench_dir = tmp_path / "set"

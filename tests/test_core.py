@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 
@@ -214,6 +215,51 @@ def test_validate_selection_roundtrip_on_enumerated_paths(golden):
         result = validate_selection(golden, _flags_for(golden, sol.arc_indices))
         assert isinstance(result, PathSolution)
         assert result == sol
+
+
+def test_validate_selection_rejections_carry_true_certificates(golden, permutation_enumerator):
+    # Exhaustive over every 0/1 vector, checked against the definitions:
+    # the accepted selections are exactly the simple paths, priced by
+    # evaluate; an imbalance names the first vertex, in the order source,
+    # sink, rest, whose out - in differs from +1 / -1 / 0; a cycle
+    # witness S has at least |S| selected arcs inside S.
+    instances = [golden] + [
+        generate_random(RandomConfig(n=n, d=d, r=0.1, seed=seed))
+        for n, d in ((4, 0.7), (5, 0.6), (6, 0.4))
+        for seed in range(3)
+    ]
+    kinds = set()
+    for instance in instances[1:]:
+        assert instance.incoming[instance.source] and instance.outgoing[instance.sink]
+    for instance in instances:
+        s, t, n = instance.source, instance.sink, instance.vertex_count
+        order = [s, t] + [v for v in range(n) if v not in (s, t)]
+        paths = {
+            tuple(_flags_for(instance, evaluate(instance, verts).arc_indices)): verts
+            for verts in permutation_enumerator(instance)
+        }
+        accepted = set()
+        for flags in product((0, 1), repeat=len(instance.arcs)):
+            selected = [a for a, f in zip(instance.arcs, flags) if f]
+            excess = {
+                v: sum(a.tail == v for a in selected) - sum(a.head == v for a in selected)
+                - (v == s) + (v == t)
+                for v in order
+            }
+            unbalanced = next((v for v in order if excess[v]), None)
+            result = validate_selection(instance, flags)
+            kinds.add(getattr(result, "kind", "path"))
+            if isinstance(result, PathSolution):
+                assert result == evaluate(instance, paths[flags])
+                accepted.add(flags)
+            elif result.kind == "flow_imbalance":
+                assert result.vertex == unbalanced is not None
+            else:
+                assert result.kind == "cycle" and unbalanced is None
+                inside = [a for a in selected if a.tail in result.cycle and a.head in result.cycle]
+                assert len(inside) >= len(result.cycle) >= 2
+        assert accepted == set(paths)
+    assert kinds == {"path", "flow_imbalance", "cycle"}
 
 
 def test_validate_selection_checks_flag_count(golden):

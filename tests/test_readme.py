@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from spedac.cli import _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,3 +20,15 @@ def test_readme_library_import_runs():
     statement = re.search(r"^from spedac import \(.*?^\)", block, re.DOTALL | re.MULTILINE)
     assert statement is not None, "README's Library block has no spedac import"
     exec(compile(statement.group(0), str(README), "exec"), {})
+
+
+def test_readme_cli_examples_parse():
+    # Parsed, not run: the examples name files the README never writes.
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("spedac ")]
+    assert lines, "README's sh blocks hold no spedac example"
+    for line in lines:
+        try:
+            _build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

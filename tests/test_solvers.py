@@ -180,9 +180,10 @@ def test_brute_force_walks_a_long_chain(chain_builder):
     assert report.upper_bound == evaluate(chain, range(1500)).objective
 
 
-def test_brute_force_guard(golden):
-    with pytest.raises(GuardExceededError):
-        brute_force(golden, max_paths=5)
+def test_brute_force_guard(golden, monkeypatch):
+    monkeypatch.setattr(solvers, "BRUTE_FORCE_PATHS", 5)
+    with pytest.raises(GuardExceededError, match="more than 5 simple paths enumerated"):
+        brute_force(golden)
 
 
 
