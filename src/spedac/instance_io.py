@@ -15,7 +15,9 @@ violated rule.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
+from typing import Callable
 
 from .core import ArcRecord, ConflictRecord, Instance
 
@@ -30,28 +32,48 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _ints(line_no: int, line: str, count: int, what: str) -> list[int]:
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _canonical_int(part: str) -> int:
+    # int() also takes '+7', '1_0' and non-ASCII digits; the format does not.
+    if _INTEGER.fullmatch(part) is None:
+        raise ValueError(part)
+    return int(part)
+
+
+def _ints(
+    line_no: int, line: str, count: int, what: str, to_int: Callable[[str], int]
+) -> list[int]:
     parts = line.split()
     if len(parts) != count:
         raise ParseError(line_no, f"expected {count} fields for {what}, got {len(parts)}")
     values = []
     for part in parts:
         try:
-            values.append(int(part))
+            values.append(to_int(part))
         except ValueError:
             raise ParseError(line_no, f"expected integer, got {part!r}") from None
     return values
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse instance text; see the module docstring for the format."""
+    """Parse instance text; see the module docstring for the format.
+
+    An integer field is an optional '-' and ASCII digits.  Only a text
+    holding a character that int() takes beyond that ('+', '_' or a
+    non-ASCII digit) has its fields matched one by one, so canonical
+    files pay three scans of the text, not a match per field.
+    """
+    canonical = text.isascii() and "_" not in text and "+" not in text
+    to_int = int if canonical else _canonical_int
     lines = text.splitlines()
     if not lines or lines[0].strip() != FORMAT_HEADER:
         found = lines[0].strip() if lines else "<empty file>"
         raise ParseError(1, f"expected header {FORMAT_HEADER!r}, got {found!r}")
     if len(lines) < 2:
         raise ParseError(2, "missing counts line 'n m c s t'")
-    n, m, c, s, t = _ints(2, lines[1], 5, "counts 'n m c s t'")
+    n, m, c, s, t = _ints(2, lines[1], 5, "counts 'n m c s t'", to_int)
     if min(n, m, c) < 0:
         raise ParseError(2, f"counts n, m and c must be non-negative, got {n} {m} {c}")
     body = lines[2:]
@@ -65,12 +87,12 @@ def parse_instance(text: str) -> Instance:
                                     f" and {c} conflict lines")
     arcs = []
     for i in range(m):
-        tail, head, weight = _ints(3 + i, lines[2 + i], 3, "arc 'tail head weight'")
+        tail, head, weight = _ints(3 + i, lines[2 + i], 3, "arc 'tail head weight'", to_int)
         arcs.append(ArcRecord(tail, head, weight))
     conflicts = []
     for i in range(c):
         a, b, penalty = _ints(
-            3 + m + i, lines[2 + m + i], 3, "conflict 'arcA arcB penalty'"
+            3 + m + i, lines[2 + m + i], 3, "conflict 'arcA arcB penalty'", to_int
         )
         conflicts.append(ConflictRecord(a, b, penalty))
     return Instance(

@@ -521,8 +521,18 @@ def k_shortest_paths(instance: Instance, k: int) -> list[tuple[int, tuple[int, .
 
 
 def _yen(instance: Instance) -> Iterator[tuple[int, tuple[int, ...]]]:
-    # Yen's paths in order, each (arc cost, vertices); the next path is
-    # computed only when asked for, so a consumer can stop at a deadline.
+    """Yen's paths in order, each (arc cost, vertices).
+
+    The next path is computed only when asked for, so a consumer can stop
+    at a deadline.  A spur search that sits before a path's deviation
+    point repeats one made for an earlier path (Lawler 1972), so each
+    spur route is kept by its search inputs, (spur, root vertices,
+    banned arcs), and each distinct spur search runs once per generator;
+    the memo goes with the generator.  The key holds the root's vertex
+    set, not its order: a root that visits the same vertices in another
+    order meets the same bans, and its candidate is still built from its
+    own root, so the paths and their order are as without the memo.
+    """
     sink = instance.sink
     first = _route(instance, instance.source, sink)
     if first is None:
@@ -530,6 +540,7 @@ def _yen(instance: Instance) -> Iterator[tuple[int, tuple[int, ...]]]:
     found: list[tuple[int, tuple[int, ...]]] = [first]
     seen = {first[1]}
     candidates: list[tuple[int, tuple[int, ...]]] = []
+    spurs: dict[tuple, Optional[tuple[float, tuple[int, ...]]]] = {}
     lookup = instance.arc_index
     while True:
         yield found[-1]
@@ -538,13 +549,17 @@ def _yen(instance: Instance) -> Iterator[tuple[int, tuple[int, ...]]]:
         for i in range(len(prev) - 1):
             spur = prev[i]
             root = prev[: i + 1]
-            banned_arcs = {
+            banned_vertices = frozenset(root[:-1])
+            banned_arcs = frozenset(
                 lookup[(p[i], p[i + 1])]
                 for _, p in found
                 if len(p) > i + 1 and p[: i + 1] == root
-            }
-            spur_route = _route(instance, spur, sink, banned_vertices=set(root[:-1]),
-                                banned_arcs=banned_arcs)
+            )
+            key = (spur, banned_vertices, banned_arcs)
+            if key not in spurs:
+                spurs[key] = _route(instance, spur, sink, banned_vertices=banned_vertices,
+                                    banned_arcs=banned_arcs)
+            spur_route = spurs[key]
             if spur_route is not None:
                 full = root[:-1] + spur_route[1]
                 if full not in seen:
@@ -557,7 +572,7 @@ def _yen(instance: Instance) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 
 def _detours(
-    instance: Instance, p: tuple[int, ...], i: int
+    instance: Instance, p: tuple[int, ...], i: int, memo: dict[tuple, Sequence[int]]
 ) -> Iterator[tuple[int, list[int]]]:
     """Cheapest p[i] -> p[j] routes through no vertex of p[:i] or p[j+1:].
 
@@ -572,12 +587,22 @@ def _detours(
     same predecessor, so no rival is settled ahead of it.)  A j whose
     tree route enters p[j+1:] falls back to the masked search.  Every
     p[j] is reachable along p itself.
+
+    memo belongs to one local_search call and keeps each search's result
+    by its inputs: the tree's predecessors under p[: i + 1], the fallback
+    route's vertices under (p[: i + 1], p[j:]).  A descent step leaves
+    the prefix before its move alone, and a restart meets paths seen
+    before, so each distinct tree and fallback route is searched once per
+    solve; the routes, and so the yields, are the same as without it.
     """
     tails = instance.tails
     lookup = instance.arc_index
     origin = p[i]
-    banned = set(p[:i])
-    _, pred = dijkstra(instance, origin=origin, banned_vertices=banned)
+    root = p[: i + 1]
+    pred = memo.get(root)
+    if pred is None:
+        _, pred = dijkstra(instance, origin=origin, banned_vertices=set(p[:i]))
+        memo[root] = pred
     position = {v: k for k, v in enumerate(p)}
     along = True  # the tree route to p[j] is p[i..j]
     for j in range(i + 1, len(p)):
@@ -597,7 +622,12 @@ def _detours(
             arcs.reverse()
             yield j, arcs
             continue
-        _, route = _route(instance, origin, target, banned_vertices=banned.union(p[j + 1:]))
+        key = (root, p[j:])
+        route = memo.get(key)
+        if route is None:
+            route = memo[key] = _route(
+                instance, origin, target, banned_vertices={*p[:i], *p[j + 1:]}
+            )[1]
         if route != p[i: j + 1]:
             yield j, [lookup[pair] for pair in zip(route, route[1:])]
 
@@ -639,6 +669,11 @@ def local_search(
     pool's first path; the status is always FEASIBLE when the sink is
     reachable since no optimality is proven.  nodes_explored counts the
     paths priced: pool paths, detours (see _detours) and perturbations.
+    Each distinct detour tree, fallback route and Yen spur search runs
+    once per call: a memo created here keeps the detour searches by
+    their inputs, the pool keeps its spur routes, and both are dropped
+    when the call returns.  They change no path, tie or count: results
+    and nodes_explored are those of searching afresh every time.
     The schedule is iteration-bounded, so results with a fixed seed do
     not depend on the clock unless the time limit trips; the limit is
     checked between pool paths and after each start vertex of a descent
@@ -652,6 +687,7 @@ def local_search(
     lb, shortest = cheapest
     heads = instance.heads
     evaluated = 0
+    memo: dict[tuple, Sequence[int]] = {}  # _detours' searches, this call only
 
     def assess(verts: Sequence[int]) -> PathSolution:
         nonlocal evaluated
@@ -667,7 +703,7 @@ def local_search(
         target = sol.objective
         winner: Optional[tuple[int, ...]] = None
         for i in range(len(p) - 1):
-            for j, alt in _detours(instance, p, i):
+            for j, alt in _detours(instance, p, i, memo):
                 evaluated += 1
                 objective = _detour_objective(instance, sol, used, i, j, alt)
                 if objective < target:

@@ -110,6 +110,23 @@ def test_negative_counts_raise_parse_errors(counts):
         parse_instance(f"SPEDAC 1\n{counts}\n")
 
 
+@pytest.mark.parametrize(
+    "line_no, text",
+    [
+        (3, "SPEDAC 1\n2 1 0 0 1\n0 1 1_0\n"),
+        (3, "SPEDAC 1\n2 1 0 0 1\n0 1 +7\n"),
+        (2, "SPEDAC 1\n+2 1 0 0 1\n0 1 7\n"),
+        (5, "SPEDAC 1\n2 2 1 0 1\n0 1 7\n1 0 7\n0 1 1_000\n"),
+        (3, "SPEDAC 1\n2 1 0 0 1\n0 \u0661 7\n"),  # ARABIC-INDIC DIGIT ONE
+    ],
+    ids=["underscore", "plus", "plus-count", "underscore-conflict", "non-ascii-digit"],
+)
+def test_non_canonical_integers_raise_parse_errors(line_no, text):
+    # int() takes each of these fields; the format takes only '-' and digits.
+    with pytest.raises(ParseError, match=f"line {line_no}: expected integer"):
+        parse_instance(text)
+
+
 def test_non_ascii_byte_raises_parse_error(tmp_path):
     path = tmp_path / "bad.spedac"
     path.write_bytes(b"SPEDAC 1\n2 1 0 0 1\n0 1 \xff\n")

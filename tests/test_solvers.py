@@ -7,6 +7,7 @@ import hashlib
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -506,10 +507,27 @@ def _detour_instances():
 
 
 def _detour_paths(instance):
-    # A few Yen paths plus the local-search incumbent, as evaluated solutions.
-    paths = [verts for _, verts in k_shortest_paths(instance, 4)]
+    # A few Yen paths plus the local-search incumbent, as evaluated
+    # solutions; the incumbent is dropped when it is one of the Yen paths.
+    paths = [verts for _, verts in k_shortest_paths(instance, 6)]
     paths.append(local_search(instance).incumbent.vertices)
-    return [evaluate(instance, verts) for verts in paths]
+    return [evaluate(instance, verts) for verts in dict.fromkeys(paths)]
+
+
+def _masked_route(instance, p, i, j):
+    # Reference: arcs of the masked dijkstra from p[i] to p[j] with the
+    # vertices of p[:i] and p[j+1:] banned.
+    _, pred = dijkstra(
+        instance, origin=p[i], target=p[j],
+        banned_vertices=set(p[:i]) | set(p[j + 1:]),
+    )
+    arcs = []
+    v = p[j]
+    while v != p[i]:
+        arcs.append(pred[v])
+        v = instance.arcs[pred[v]].tail
+    arcs.reverse()
+    return arcs
 
 
 def _masked_detours(instance, sol, i):
@@ -517,19 +535,38 @@ def _masked_detours(instance, sol, i):
     p = sol.vertices
     found = []
     for j in range(i + 1, len(p)):
-        _, pred = dijkstra(
-            instance, origin=p[i], target=p[j],
-            banned_vertices=set(p[:i]) | set(p[j + 1:]),
-        )
-        arcs = []
-        v = p[j]
-        while v != p[i]:
-            arcs.append(pred[v])
-            v = instance.arcs[pred[v]].tail
-        arcs.reverse()
+        arcs = _masked_route(instance, p, i, j)
         if tuple(arcs) != sol.arc_indices[i:j]:
             found.append((j, arcs))
     return found
+
+
+def _shared_memo_detours(instance, reused):
+    # (sol, i, detours) for every start vertex of every _detour_paths path,
+    # all paths sharing one memo as in a local_search call.  reused counts
+    # the trees and fallback routes that a call finds cached by an earlier
+    # path: a route key holds the path's prefix and suffix, and the same
+    # prefix gives the same tree, so a cached route is one the call needs.
+    # Once the paths are done, every cached tree and route is checked
+    # against a fresh search of its key's inputs.
+    memo = {}
+    for sol in _detour_paths(instance):
+        p = sol.vertices
+        for i in range(len(p) - 1):
+            root = p[: i + 1]
+            reused["trees"] += root in memo
+            reused["routes"] += sum((root, p[j:]) in memo for j in range(i + 1, len(p)))
+            yield sol, i, list(_detours(instance, p, i, memo))
+    for key, cached in memo.items():
+        if isinstance(key[0], tuple):  # (p[: i + 1], p[j:]) -> route vertices
+            root, rest = key
+            assert [instance.arc_index[pair] for pair in zip(cached, cached[1:])] == (
+                _masked_route(instance, root + rest, len(root) - 1, len(root))
+            )
+        else:  # p[: i + 1] -> predecessors of the tree from p[i]
+            assert cached == dijkstra(
+                instance, origin=key[-1], banned_vertices=set(key[:-1])
+            )[1]
 
 
 def test_detour_routes_match_the_masked_reference(monkeypatch):
@@ -542,30 +579,30 @@ def test_detour_routes_match_the_masked_reference(monkeypatch):
         return searches(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "dijkstra", counted)
+    reused = Counter()
     for instance in _detour_instances():
-        for sol in _detour_paths(instance):
-            for i in range(len(sol.vertices) - 1):
-                assert list(_detours(instance, sol.vertices, i)) == _masked_detours(
-                    instance, sol, i
-                )
+        for sol, i, found in _shared_memo_detours(instance, reused):
+            assert found == _masked_detours(instance, sol, i)
     assert fallbacks > 0, "no route entered the later path; the fallback went untested"
+    assert reused["trees"] > 0 and reused["routes"] > 0, reused
 
 
 def test_detour_objective_matches_evaluate():
     priced = 0
+    reused = Counter()
     for instance in _detour_instances():
         heads = instance.heads
-        for sol in _detour_paths(instance):
+        for sol, i, found in _shared_memo_detours(instance, reused):
             p = sol.vertices
             used = set(sol.arc_indices)
-            for i in range(len(p) - 1):
-                for j, alt in _detours(instance, p, i):
-                    moved = (*p[: i + 1], *(heads[a] for a in alt), *p[j + 1:])
-                    assert _detour_objective(instance, sol, used, i, j, alt) == (
-                        evaluate(instance, moved).objective
-                    )
-                    priced += 1
+            for j, alt in found:
+                moved = (*p[: i + 1], *(heads[a] for a in alt), *p[j + 1:])
+                assert _detour_objective(instance, sol, used, i, j, alt) == (
+                    evaluate(instance, moved).objective
+                )
+                priced += 1
     assert priced >= 100
+    assert reused["trees"] > 0 and reused["routes"] > 0, reused
 
 
 # --- k shortest paths -----------------------------------------------------
@@ -680,6 +717,41 @@ def test_local_search_is_pinned_across_families(config, seed, expected):
     assert (
         report.upper_bound, report.nodes_explored, report.incumbent.vertices
     ) == expected
+
+
+def test_local_search_repeats_no_search(monkeypatch):
+    # Each solve runs every distinct shortest-path search once: the detour
+    # memo serves repeated trees and fallback routes, Yen's memo repeated
+    # spur searches.  The instances are built before dijkstra is wrapped,
+    # because the generators' sink check is the same search as Yen's
+    # first path.
+    solves = [
+        (local_search, _pinned_instance(config))
+        for config in (
+            SmallWorldConfig(n=120, k=0.04, beta=0.0, r=1e-3, seed=1001),
+            RandomConfig(n=100, d=0.1, r=1e-3, seed=1007),
+        )
+    ] + [
+        (lambda instance: k_shortest_paths(instance, 20), generate_random(config))
+        for config, *_ in _PINNED_N60
+    ]
+    searches = solvers.dijkstra
+    keys = []
+
+    def recorded(instance, **kwargs):
+        keys.append((
+            kwargs.get("origin"), kwargs.get("target"),
+            frozenset(kwargs.get("banned_vertices", ())),
+            frozenset(kwargs.get("banned_arcs", ())),
+        ))
+        return searches(instance, **kwargs)
+
+    monkeypatch.setattr(solvers, "dijkstra", recorded)
+    for solve, instance in solves:
+        keys.clear()
+        solve(instance)
+        repeated = [key for key, count in Counter(keys).items() if count > 1]
+        assert keys and not repeated, f"{len(repeated)} of {len(set(keys))} searches repeat"
 
 
 @pytest.mark.parametrize(
