@@ -16,7 +16,6 @@ from .core import (  # noqa: F401
     MalformedPathError,
     PathSolution,
     SelectionViolation,
-    conflict_penalty_term,
     evaluate,
     validate_selection,
 )
@@ -39,7 +38,6 @@ from .instance_io import (  # noqa: F401
     save_instance,
 )
 from .model_export import (  # noqa: F401
-    CircuitForm,
     ConstraintRow,
     ExportedModel,
     MissingVariableError,
@@ -47,8 +45,6 @@ from .model_export import (  # noqa: F401
     export_flow_model,
     induced_assignment,
     instance_digest,
-    parse_assignment,
-    to_circuit_form,
     verify_model_at_point,
 )
 from .solvers import (  # noqa: F401
@@ -60,7 +56,6 @@ from .solvers import (  # noqa: F401
     brute_force,
     dijkstra,
     enumerate_simple_paths,
-    k_shortest_paths,
     local_search,
     optimality_gap,
     shortest_path_vertices,

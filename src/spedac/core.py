@@ -212,16 +212,6 @@ class SelectionViolation:
     cycle: frozenset[int] | None = None
 
 
-def conflict_penalty_term(x_a: int, x_b: int, penalty: int) -> int:
-    """Penalty charged for one conflict given the two arc flags.
-
-    Equals penalty * (2*x_a*x_b - x_a - x_b + 1): the linearised form of
-    penalty * (1 - XOR(x_a, x_b)).  Full penalty for both-or-neither,
-    zero when exactly one arc is used.
-    """
-    return penalty * (2 * x_a * x_b - x_a - x_b + 1)
-
-
 def evaluate(instance: Instance, path: Sequence[int]) -> PathSolution:
     """Evaluate a vertex sequence as a simple source-to-sink path.
 

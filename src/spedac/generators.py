@@ -66,8 +66,10 @@ class RandomConfig:
             raise InvariantError(f"n must be at least 2, got {self.n}")
         if not 0 < self.d <= 1:
             raise InvariantError(f"density d must be in (0, 1], got {self.d}")
-        if self.r < 0:
-            raise InvariantError(f"conflict ratio r must be non-negative, got {self.r}")
+        if not 0 <= self.r < math.inf:
+            raise InvariantError(
+                f"conflict ratio r must be finite and non-negative, got {self.r}"
+            )
         _check_range("penalty_range", self.penalty_range, minimum=1)
         _check_range("weight_range", self.weight_range, minimum=0)
         if arc_count(self.n, self.d) < 1:
@@ -93,10 +95,14 @@ class SmallWorldConfig:
             raise InvariantError(f"n must be at least 3, got {self.n}")
         if not 0 <= self.beta <= 1:
             raise InvariantError(f"beta must be in [0, 1], got {self.beta}")
-        if self.r < 0:
-            raise InvariantError(f"conflict ratio r must be non-negative, got {self.r}")
+        if not 0 <= self.r < math.inf:
+            raise InvariantError(
+                f"conflict ratio r must be finite and non-negative, got {self.r}"
+            )
         _check_range("penalty_range", self.penalty_range, minimum=1)
         _check_range("weight_range", self.weight_range, minimum=0)
+        if not math.isfinite(self.k):
+            raise InvariantError(f"k must be finite, got {self.k}")
         degree = ring_degree(self.n, self.k)
         if degree < 2:
             raise InvariantError(

@@ -1,4 +1,4 @@
-"""Flow-model export and verification, plus the circuit-closure view.
+"""Flow-model export and verification.
 
 The exported model is the standard linearisation of the problem:
 
@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from . import __version__
-from .core import Instance, PathSolution, SelectionViolation, validate_selection
+from .core import Instance, PathSolution
 from .instance_io import render_instance
 
 Number = Union[int, Fraction]
@@ -65,13 +65,8 @@ class ExportedModel:
 
     variables: tuple[VariableDef, ...]
     objective_terms: tuple[tuple[int, str], ...]
-    objective_constant: int
     rows: tuple[ConstraintRow, ...]
     header: tuple[str, ...]
-    sec_mode: str
-
-    def variable_names(self) -> list[str]:
-        return [v.name for v in self.variables]
 
     def render(self) -> str:
         """LP-format text: ASCII, LF endings, deterministic."""
@@ -197,10 +192,8 @@ def export_flow_model(instance: Instance, sec_mode: str = "mtz") -> ExportedMode
     return ExportedModel(
         variables=tuple(variables),
         objective_terms=tuple(objective),
-        objective_constant=instance.penalty_total,
         rows=tuple(rows),
         header=tuple(header),
-        sec_mode=sec_mode,
     )
 
 
@@ -258,89 +251,3 @@ def induced_assignment(instance: Instance, solution: PathSolution) -> dict[str, 
     for v in range(instance.vertex_count):
         values[f"u_{v}"] = position.get(v, 0)
     return values
-
-
-def parse_assignment(text: str) -> dict[str, Fraction]:
-    """Parse name=value lines into exact values ('#' comments ignored)."""
-    values: dict[str, Fraction] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(
-                f"assignment line {line_no}: expected name=value, got {raw!r}"
-            )
-        name, value = (part.strip() for part in line.split("=", 1))
-        try:
-            values[name] = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(
-                f"assignment line {line_no}: {value!r} is not a number"
-            ) from None
-    return values
-
-
-@dataclass(frozen=True)
-class CircuitForm:
-    """Circuit view of an instance for circuit-propagator style solvers.
-
-    The path problem becomes a single-cycle problem: every vertex other
-    than the terminals gets a self-loop meaning "skipped", and one
-    artificial arc sink -> source (cost 0, always chosen) closes the
-    path into a cycle.  A selection is circuit-feasible exactly when the
-    chosen real arcs plus the artificial arc form one cycle covering
-    precisely the vertices without self-loops.
-    """
-
-    instance: Instance
-    self_loop_vertices: tuple[int, ...]
-
-    @property
-    def artificial_arc(self) -> tuple[int, int]:
-        return (self.instance.sink, self.instance.source)
-
-    def selection_from_path(
-        self, solution: PathSolution
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(arc flags, self-loop flags) encoding a path as a circuit."""
-        arc_flags = [0] * len(self.instance.arcs)
-        for idx in solution.arc_indices:
-            arc_flags[idx] = 1
-        visited = set(solution.vertices)
-        loop_flags = tuple(
-            0 if v in visited else 1 for v in self.self_loop_vertices
-        )
-        return tuple(arc_flags), loop_flags
-
-    def is_circuit(
-        self, arc_flags: Sequence[int], loop_flags: Sequence[int]
-    ) -> bool:
-        """True when real arcs + artificial arc form one covering cycle.
-
-        That is, the arc flags decode (validate_selection) to a path and
-        the loop flags mark exactly the vertices it skips.  Raises
-        ValueError when a flag count does not match the circuit.
-        """
-        if len(loop_flags) != len(self.self_loop_vertices):
-            raise ValueError("loop flag count does not match the circuit")
-        path = validate_selection(self.instance, arc_flags)
-        if isinstance(path, SelectionViolation):
-            return False
-        looped = {v for v, flag in zip(self.self_loop_vertices, loop_flags) if flag}
-        unlooped = set(range(self.instance.vertex_count)) - looped
-        return set(path.vertices) == unlooped
-
-    def decode(self, arc_flags: Sequence[int]) -> tuple[int, ...]:
-        """Strip the circuit closure: the real-arc flags of the path."""
-        return tuple(int(bool(f)) for f in arc_flags)
-
-
-def to_circuit_form(instance: Instance) -> CircuitForm:
-    """Circuit view: self-loops on every non-terminal vertex."""
-    loops = tuple(
-        v
-        for v in range(instance.vertex_count)
-        if v not in (instance.source, instance.sink)
-    )
-    return CircuitForm(instance=instance, self_loop_vertices=loops)

@@ -510,18 +510,9 @@ def branch_and_bound(
     return run.report(status, min(open_lb, ub), nodes)
 
 
-def k_shortest_paths(instance: Instance, k: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Up to k cheapest simple source-sink paths by arc cost (Yen).
-
-    Conflicts are ignored here; the caller re-evaluates candidates under
-    the full objective.  Deterministic: candidate ties break on the
-    vertex tuple.
-    """
-    return list(islice(_yen(instance), max(k, 0)))
-
-
 def _yen(instance: Instance) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Yen's paths in order, each (arc cost, vertices).
+    """Yen's simple source-sink paths, cheapest arc cost first, each
+    (arc cost, vertices); conflicts are ignored, ties break on vertices.
 
     The next path is computed only when asked for, so a consumer can stop
     at a deadline.  A spur search that sits before a path's deviation
@@ -671,8 +662,9 @@ def local_search(
     paths priced: pool paths, detours (see _detours) and perturbations.
     Each distinct detour tree, fallback route and Yen spur search runs
     once per call: a memo created here keeps the detour searches by
-    their inputs, the pool keeps its spur routes, and both are dropped
-    when the call returns.  They change no path, tie or count: results
+    their inputs and goes when the call returns; the pool keeps its spur
+    routes and is closed after its last draw, which frees them before
+    the descent.  They change no path, tie or count: results
     and nodes_explored are those of searching afresh every time.
     The schedule is iteration-bounded, so results with a fixed seed do
     not depend on the clock unless the time limit trips; the limit is
@@ -746,6 +738,7 @@ def local_search(
         if run.expired():
             break
         run.offer(assess(verts))
+    pool.close()
     run.offer(descend(run.best))
     rng = random.Random(f"{seed}/local-search")
     for _ in range(LOCAL_SEARCH_RESTARTS):

@@ -18,6 +18,9 @@ from pathlib import Path
 
 import spedac
 from spedac import (
+    ArcRecord,
+    ConflictRecord,
+    Instance,
     RandomConfig,
     SmallWorldConfig,
     SolveStatus,
@@ -25,7 +28,6 @@ from spedac import (
     branch_and_bound,
     brute_force,
     conflict_count,
-    conflict_penalty_term,
     dijkstra,
     enumerate_simple_paths,
     evaluate,
@@ -37,7 +39,7 @@ from spedac import (
     render_instance,
     ring_degree,
     save_instance,
-    to_circuit_form,
+    validate_selection,
     verify_model_at_point,
 )
 from spedac.bench import (
@@ -138,18 +140,36 @@ def test_criterion_3_conflict_free_reduces_to_shortest_path():
 
 def test_criterion_4_penalty_term_truth_table():
     with _criterion("penalty term charges both-or-neither, never exactly-one"):
+        # One conflict on arcs (0,1) and (1,3); the four 0-3 paths use
+        # both, neither and each one alone.
+        arcs = tuple(
+            ArcRecord(tail, head, 1)
+            for tail, head in ((0, 1), (1, 3), (0, 2), (2, 3), (1, 2), (2, 1))
+        )
+        uses = {  # path -> (x_a, x_b)
+            (0, 1, 3): (1, 1),
+            (0, 2, 3): (0, 0),
+            (0, 1, 2, 3): (1, 0),
+            (0, 2, 1, 3): (0, 1),
+        }
         rng = random.Random(20260814)
         penalties = [rng.randint(1, 10_000) for _ in range(100)]
         for p in penalties:
-            assert conflict_penalty_term(0, 0, p) == p
-            assert conflict_penalty_term(1, 1, p) == p
-            assert conflict_penalty_term(0, 1, p) == 0
-            assert conflict_penalty_term(1, 0, p) == 0
-            for x_a in (0, 1):
-                for x_b in (0, 1):
-                    assert conflict_penalty_term(x_a, x_b, p) == p * (
-                        1 - (x_a ^ x_b)
-                    )
+            instance = Instance(
+                vertex_count=4, arcs=arcs, conflicts=(ConflictRecord(0, 1, p),),
+                source=0, sink=3,
+            )
+            model = export_flow_model(instance)
+            for path, (x_a, x_b) in uses.items():
+                charged = p * (1 - (x_a ^ x_b))
+                assert charged == (p if x_a == x_b else 0)
+                solution = evaluate(instance, path)
+                assert solution.penalty_cost == charged
+                objective, violated = verify_model_at_point(
+                    model, induced_assignment(instance, solution)
+                )
+                assert violated == []
+                assert objective == solution.arc_cost + charged
 
 
 def test_criterion_5_generator_grids_hit_exact_counts():
@@ -225,10 +245,9 @@ def test_criterion_6_model_export_agrees_with_the_solvers():
             assert violated == []
             assert objective == Fraction(optimum)
 
-            circuit = to_circuit_form(instance)
-            arc_flags, loop_flags = circuit.selection_from_path(report.incumbent)
-            assert circuit.is_circuit(arc_flags, loop_flags)
-            assert sum(circuit.decode(arc_flags)) == len(report.incumbent.arc_indices)
+            on_path = set(report.incumbent.arc_indices)
+            arc_flags = [int(a in on_path) for a in range(len(instance.arcs))]
+            assert validate_selection(instance, arc_flags) == report.incumbent
 
             for verts in enumerate_simple_paths(instance):
                 solution = evaluate(instance, verts)

@@ -138,6 +138,20 @@ def test_gen_missing_parameter_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["gen-random", "--n", "10", "--d", "0.5", "--r", "nan"], "conflict ratio r"),
+        (["gen-smallworld", "--n", "10", "--k", "inf", "--r", "0"], "k"),
+    ],
+)
+def test_gen_non_finite_parameter_exits_2(tmp_path, capsys, argv, field):
+    out = tmp_path / "x.spedac"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"error: {field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_unsatisfiable_exits_3(tmp_path, capsys):
     code = main([
         "gen-random", "--n", "10", "--d", "0.2", "--r", "3.0",

@@ -16,7 +16,6 @@ from spedac import (
     MalformedPathError,
     PathSolution,
     SelectionViolation,
-    conflict_penalty_term,
     evaluate,
     export_flow_model,
     generate_random,
@@ -30,20 +29,42 @@ from spedac.solvers import enumerate_simple_paths
 
 # --- penalty term ---------------------------------------------------------
 
+# One conflict on arcs (0,1) and (1,3); the four 0-3 paths use both,
+# neither and each one alone.
+_XOR_ARCS = tuple(
+    ArcRecord(tail, head, 1)
+    for tail, head in ((0, 1), (1, 3), (0, 2), (2, 3), (1, 2), (2, 1))
+)
+_XOR_USES = {  # path -> (x_a, x_b)
+    (0, 1, 3): (1, 1),
+    (0, 2, 3): (0, 0),
+    (0, 1, 2, 3): (1, 0),
+    (0, 2, 1, 3): (0, 1),
+}
+
+
+def _xor_instance(penalty: int) -> Instance:
+    return Instance(
+        vertex_count=4, arcs=_XOR_ARCS, conflicts=(ConflictRecord(0, 1, penalty),),
+        source=0, sink=3,
+    )
+
+
 def test_penalty_term_truth_table():
-    assert conflict_penalty_term(1, 1, 10) == 10
-    assert conflict_penalty_term(0, 0, 10) == 10
-    assert conflict_penalty_term(1, 0, 10) == 0
-    assert conflict_penalty_term(0, 1, 10) == 0
+    instance = _xor_instance(10)
+    charged = {uses: evaluate(instance, path).penalty_cost for path, uses in _XOR_USES.items()}
+    assert charged == {(1, 1): 10, (0, 0): 10, (1, 0): 0, (0, 1): 0}
 
 
 def test_penalty_term_matches_xor_form():
     rng = random.Random(20240811)
     for _ in range(200):
         p = rng.randint(1, 200)
-        for x_a in (0, 1):
-            for x_b in (0, 1):
-                assert conflict_penalty_term(x_a, x_b, p) == p * (1 - (x_a ^ x_b))
+        instance = _xor_instance(p)
+        for path, (x_a, x_b) in _XOR_USES.items():
+            charged = evaluate(instance, path).penalty_cost
+            assert charged == p * (1 - (x_a ^ x_b))
+            assert charged == p * (2 * x_a * x_b - x_a - x_b + 1)
 
 
 # --- evaluation -----------------------------------------------------------

@@ -212,6 +212,23 @@ def test_small_world_config_validation():
         SmallWorldConfig(n=10, k=0.99)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: RandomConfig(n=10, d=0.5, r=v), "conflict ratio r"),
+        (lambda v: SmallWorldConfig(n=10, k=0.3, r=v), "conflict ratio r"),
+        (lambda v: SmallWorldConfig(n=10, k=v), "k"),
+    ],
+    ids=["random-r", "small-world-r", "small-world-k"],
+)
+def test_configs_reject_non_finite_parameters(make, field, value):
+    # A non-finite r or k used to construct, then fail inside the exact
+    # count arithmetic with "Invalid literal for Fraction".
+    with pytest.raises(InvariantError, match=f"^{field} must be finite"):
+        make(value)
+
+
 # --- profile files --------------------------------------------------------
 
 def test_parse_profile_values_and_comments():

@@ -1,4 +1,4 @@
-"""Exported flow model: objective, rows, exact verification, circuit view."""
+"""Exported flow model: objective, rows, exact verification, decoding."""
 
 from __future__ import annotations
 
@@ -10,10 +10,10 @@ import pytest
 import spedac
 from spedac import (
     ArcRecord,
-    CircuitForm,
     ConflictRecord,
     Instance,
     MissingVariableError,
+    PathSolution,
     RandomConfig,
     brute_force,
     enumerate_simple_paths,
@@ -22,8 +22,7 @@ from spedac import (
     generate_random,
     induced_assignment,
     instance_digest,
-    parse_assignment,
-    to_circuit_form,
+    validate_selection,
     verify_model_at_point,
 )
 
@@ -106,14 +105,13 @@ def _flow_balanced(instance: Instance, x_flags: tuple[int, ...]) -> bool:
 
 def test_golden_model_catalog(golden):
     model = export_flow_model(golden)
-    names = model.variable_names()
+    names = [v.name for v in model.variables]
     assert names[0] == "ONE_VAR_CONSTANT"
     assert [n for n in names if n.startswith("x_")] == [
         f"x_{a.tail}_{a.head}" for a in golden.arcs
     ]
     assert [n for n in names if n.startswith("y_")] == ["y_0", "y_1", "y_2"]
     assert [n for n in names if n.startswith("u_")] == [f"u_{v}" for v in range(7)]
-    assert model.objective_constant == 30
     assert (30, "ONE_VAR_CONSTANT") in model.objective_terms
     row_names = [row.name for row in model.rows]
     assert row_names[:7] == [f"flow_{v}" for v in range(7)]
@@ -147,7 +145,7 @@ def test_mtz_rows_cover_arcs_into_the_source():
 
 def test_omit_mode_drops_order_machinery(golden):
     model = export_flow_model(golden, sec_mode="omit")
-    assert not any(name.startswith("u_") for name in model.variable_names())
+    assert not any(v.name.startswith("u_") for v in model.variables)
     assert not any(row.name.startswith("mtz_") for row in model.rows)
     assert any("warning" in line and "cycle" in line for line in model.header)
     with pytest.raises(ValueError, match="sec_mode"):
@@ -175,7 +173,7 @@ def test_optimum_assignment_verifies_cleanly(golden):
 
 def test_all_zero_point_fails_flow_rows(golden):
     model = export_flow_model(golden)
-    point = {name: 0 for name in model.variable_names()}
+    point = {v.name: 0 for v in model.variables}
     point["ONE_VAR_CONSTANT"] = 1
     objective, violated = verify_model_at_point(model, point)
     assert objective == 30  # nothing selected: every penalty is charged
@@ -322,7 +320,6 @@ def test_render_spells_signs_and_senses(golden):
 def test_penalty_free_instance_renders_without_constant():
     instance = generate_random(RandomConfig(n=8, d=0.4, r=0.0, seed=0))
     model = export_flow_model(instance)
-    assert model.objective_constant == 0
     assert not any(name == "ONE_VAR_CONSTANT" for _, name in model.objective_terms)
     lines = model.render().splitlines()
     minimize = lines[lines.index("Minimize"): lines.index("Subject To")]
@@ -330,126 +327,86 @@ def test_penalty_free_instance_renders_without_constant():
     assert " ONE_VAR_CONSTANT = 1" in lines  # still in Bounds as the fixed var
 
 
-# --- assignment files -----------------------------------------------------
+# --- decoding --------------------------------------------------------------
+# The circuit view is gone; these check the same claims on the arc flags
+# that validate_selection decodes and the exported model's rows.
 
-def test_parse_assignment_round_trip(golden):
-    point = induced_assignment(golden, evaluate(golden, (0, 1, 3, 4, 6)))
-    text = "# solver point\n" + "\n".join(
-        f"{name} = {value}" for name, value in point.items()
-    )
-    parsed = parse_assignment(text)
-    assert parsed == {name: Fraction(value) for name, value in point.items()}
-    model = export_flow_model(golden)
-    assert verify_model_at_point(model, parsed) == (Fraction(7), [])
-
-
-def test_parse_assignment_accepts_rationals_and_rejects_junk():
-    assert parse_assignment("a=1/3\nb = 0.25 # comment\n\n") == {
-        "a": Fraction(1, 3),
-        "b": Fraction(1, 4),
-    }
-    with pytest.raises(ValueError, match="line 2"):
-        parse_assignment("a=1\nbogus line\n")
-    with pytest.raises(ValueError, match="not a number"):
-        parse_assignment("a=fast\n")
-
-
-# --- circuit view ---------------------------------------------------------
-
-def test_circuit_form_shape(golden):
-    circuit = to_circuit_form(golden)
-    assert isinstance(circuit, CircuitForm)
-    assert circuit.artificial_arc == (6, 0)
-    assert circuit.self_loop_vertices == (1, 2, 3, 4, 5)
-
-
-def test_every_path_encodes_to_a_circuit(golden):
-    circuit = to_circuit_form(golden)
-    for verts in enumerate_simple_paths(golden):
-        solution = evaluate(golden, verts)
-        arc_flags, loop_flags = circuit.selection_from_path(solution)
-        assert circuit.is_circuit(arc_flags, loop_flags)
-        assert circuit.decode(arc_flags) == _arc_flags(golden, verts)
+def test_every_path_encodes_to_a_circuit():
+    # Every simple path's flags decode to that path, and its induced
+    # point satisfies every row of the model in both cycle-exclusion modes.
+    instances = [_loopback_instance()] + [
+        generate_random(RandomConfig(n=6, d=0.5, r=0.1, seed=s)) for s in range(3)
+    ]
+    for instance in instances:
+        models = [export_flow_model(instance, sec_mode=mode) for mode in ("mtz", "omit")]
+        for verts in enumerate_simple_paths(instance):
+            solution = evaluate(instance, verts)
+            assert validate_selection(instance, _arc_flags(instance, verts)) == solution
+            point = induced_assignment(instance, solution)
+            for model in models:
+                assert verify_model_at_point(model, point) == (solution.objective, [])
 
 
 def test_tampered_circuits_are_rejected(golden):
-    circuit = to_circuit_form(golden)
-    solution = evaluate(golden, (0, 1, 3, 4, 6))
-    arc_flags, loop_flags = circuit.selection_from_path(solution)
-
-    # A skipped vertex must not keep its self-loop unset.
-    broken = list(loop_flags)
-    broken[circuit.self_loop_vertices.index(2)] = 0
-    assert not circuit.is_circuit(arc_flags, tuple(broken))
-
-    # A visited vertex must not carry a self-loop.
-    broken = list(loop_flags)
-    broken[circuit.self_loop_vertices.index(1)] = 1
-    assert not circuit.is_circuit(arc_flags, tuple(broken))
+    flags = _arc_flags(golden, (0, 1, 3, 4, 6))
+    assert isinstance(validate_selection(golden, flags), PathSolution)
 
     # An extra arc off the path breaks the single-successor rule.
-    extra = list(arc_flags)
+    extra = list(flags)
     extra[3] = 1  # second arc out of vertex 1
-    assert not circuit.is_circuit(tuple(extra), loop_flags)
+    assert validate_selection(golden, extra).kind == "flow_imbalance"
 
-    # Dropping a path arc severs the cycle.
-    severed = list(arc_flags)
+    # Dropping a path arc severs the path.
+    severed = list(flags)
     severed[severed.index(1)] = 0
-    assert not circuit.is_circuit(tuple(severed), loop_flags)
+    assert validate_selection(golden, severed).kind == "flow_imbalance"
+
+    # The model's flow rows reject both.
+    model = export_flow_model(golden)
+    point = induced_assignment(golden, evaluate(golden, (0, 1, 3, 4, 6)))
+    for tampered in (extra, severed):
+        for arc, x in zip(golden.arcs, tampered):
+            point[f"x_{arc.tail}_{arc.head}"] = x
+        _, violated = verify_model_at_point(model, point)
+        assert any(name.startswith("flow_") for name in violated)
 
 
 def test_is_circuit_rejects_flag_counts_that_do_not_match(golden):
-    circuit = to_circuit_form(golden)
-    arc_flags, loop_flags = circuit.selection_from_path(evaluate(golden, (0, 1, 3, 4, 6)))
-    assert circuit.is_circuit(arc_flags, loop_flags)
-    for bad_arcs in (arc_flags[:10], arc_flags + (0,)):
+    flags = _arc_flags(golden, (0, 1, 3, 4, 6))
+    assert isinstance(validate_selection(golden, flags), PathSolution)
+    for bad in (flags[:10], flags + (0,)):
         with pytest.raises(ValueError, match="arc flag count"):
-            circuit.is_circuit(bad_arcs, loop_flags)
-    for bad_loops in (loop_flags[:-1], loop_flags + (0,)):
-        with pytest.raises(ValueError, match="loop flag count"):
-            circuit.is_circuit(arc_flags, bad_loops)
+            validate_selection(golden, bad)
 
 
 def test_is_circuit_accepts_exactly_the_covering_paths():
-    # Independent definition: the flags are those of an enumerated simple
-    # source-sink path, with a loop on exactly the vertices it skips.
-    # Exhaustive over every arc and loop flag combination; the random
-    # digraphs have arcs into the source and out of the sink.
+    # Exhaustive over every arc flag vector: validate_selection accepts
+    # exactly the flags of an enumerated simple source-sink path.  The
+    # random digraphs have arcs into the source and out of the sink.
     instances = [_loopback_instance()] + [
         generate_random(RandomConfig(n=5, d=0.5, r=0.0, seed=s)) for s in range(3)
     ] + [generate_random(RandomConfig(n=4, d=0.7, r=0.0, seed=1))]
     for instance in instances:
-        circuit = to_circuit_form(instance)
-        covering = set()
-        for verts in enumerate_simple_paths(instance):
-            on_path = set(verts)
-            covering.add((
-                _arc_flags(instance, verts),
-                tuple(int(v not in on_path) for v in circuit.self_loop_vertices),
-            ))
-        m, k = len(instance.arcs), len(circuit.self_loop_vertices)
+        paths = {_arc_flags(instance, verts) for verts in enumerate_simple_paths(instance)}
         accepted = {
-            (arc_flags, loop_flags)
-            for arc_flags in product((0, 1), repeat=m)
-            for loop_flags in product((0, 1), repeat=k)
-            if circuit.is_circuit(arc_flags, loop_flags)
+            flags
+            for flags in product((0, 1), repeat=len(instance.arcs))
+            if isinstance(validate_selection(instance, flags), PathSolution)
         }
-        assert accepted == covering
+        assert accepted == paths
 
 
 def test_disconnected_cycles_are_not_circuits():
     instance = _loopback_instance()
-    circuit = to_circuit_form(instance)
-    # Path 0-2-4 plus the disjoint-looking cycle 0-1-3-0 shares vertex 0,
-    # giving it two successors; and marking 1, 3 as skipped contradicts
-    # their arcs.  Either way this is not a single covering cycle.
+    # Path 0-2-4 plus the cycle 0-1-3-0 through the source is
+    # flow-balanced, but not one simple path: validate_selection names
+    # the cycle and no MTZ order values exist.
     flags = tuple(
         1 if (a.tail, a.head) in {(0, 2), (2, 4), (0, 1), (1, 3), (3, 0)} else 0
         for a in instance.arcs
     )
-    loops = tuple(0 for _ in circuit.self_loop_vertices)
-    assert not circuit.is_circuit(flags, loops)
-    skip_13 = tuple(
-        1 if v in (1, 3) else 0 for v in circuit.self_loop_vertices
-    )
-    assert not circuit.is_circuit(flags, skip_13)
+    assert _flow_balanced(instance, flags)
+    result = validate_selection(instance, flags)
+    assert result.kind == "cycle"
+    assert result.cycle == frozenset({0, 1, 3})
+    assert not _mtz_orders_exist(instance, flags)

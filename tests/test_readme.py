@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -32,3 +33,24 @@ def test_readme_cli_examples_parse():
             _build_parser().parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def test_readme_dotted_names_resolve():
+    # Each `spedac.x.y` the prose names must exist: the longest importable
+    # module prefix, then attributes for the rest.
+    names = set(re.findall(r"`(spedac(?:\.\w+)+)", README.read_text(encoding="utf-8")))
+    assert names, "README names no spedac.<name>"
+    missing = []
+    for dotted in sorted(names):
+        parts = dotted.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ImportError:
+                continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(dotted)
+    assert missing == []

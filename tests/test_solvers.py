@@ -8,6 +8,7 @@ import math
 import random
 import time
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -26,7 +27,6 @@ from spedac import (
     evaluate,
     generate_random,
     generate_small_world,
-    k_shortest_paths,
     local_search,
     optimality_gap,
     shortest_path_vertices,
@@ -36,6 +36,11 @@ from spedac.bench import run_bench
 from spedac.solvers import _detour_objective, _detours
 
 INFINITY = math.inf
+
+
+def _yen_paths(instance, k):
+    """The first k paths of the Yen pool, each (arc cost, vertices)."""
+    return list(islice(solvers._yen(instance), k))
 
 
 def _sweep_instances(counts=(6, 8, 10), densities=(0.2, 0.4), seeds=range(4)):
@@ -509,7 +514,7 @@ def _detour_instances():
 def _detour_paths(instance):
     # A few Yen paths plus the local-search incumbent, as evaluated
     # solutions; the incumbent is dropped when it is one of the Yen paths.
-    paths = [verts for _, verts in k_shortest_paths(instance, 6)]
+    paths = [verts for _, verts in _yen_paths(instance, 6)]
     paths.append(local_search(instance).incumbent.vertices)
     return [evaluate(instance, verts) for verts in dict.fromkeys(paths)]
 
@@ -608,7 +613,7 @@ def test_detour_objective_matches_evaluate():
 # --- k shortest paths -----------------------------------------------------
 
 def test_k_shortest_paths_covers_everything(golden):
-    ranked = k_shortest_paths(golden, 50)
+    ranked = _yen_paths(golden, 50)
     assert len(ranked) == 12
     costs = [cost for cost, _ in ranked]
     assert costs == sorted(costs)
@@ -619,8 +624,8 @@ def test_k_shortest_paths_covers_everything(golden):
 
 
 def test_k_shortest_paths_of_none_is_empty(golden):
-    assert k_shortest_paths(golden, 0) == []
-    assert k_shortest_paths(golden, 1) == [(5, (0, 2, 1, 3, 6))]
+    assert list(solvers._yen(_dead_end())) == []
+    assert _yen_paths(golden, 1) == [(5, (0, 2, 1, 3, 6))]
 
 
 def test_k_shortest_paths_prefix():
@@ -629,7 +634,7 @@ def test_k_shortest_paths_prefix():
         evaluate(instance, verts).arc_cost
         for verts in enumerate_simple_paths(instance)
     )
-    top = k_shortest_paths(instance, 4)
+    top = _yen_paths(instance, 4)
     assert [cost for cost, _ in top] == all_costs[: len(top)]
 
 
@@ -655,7 +660,7 @@ _PINNED_N60 = [
 
 @pytest.mark.parametrize("config, costs, digest, _", _PINNED_N60)
 def test_k_shortest_paths_are_pinned(config, costs, digest, _):
-    ranked = k_shortest_paths(generate_random(config), 20)
+    ranked = _yen_paths(generate_random(config), 20)
     assert [cost for cost, _ in ranked] == costs
     assert hashlib.sha256(repr(ranked).encode()).hexdigest() == digest
 
@@ -732,7 +737,7 @@ def test_local_search_repeats_no_search(monkeypatch):
             RandomConfig(n=100, d=0.1, r=1e-3, seed=1007),
         )
     ] + [
-        (lambda instance: k_shortest_paths(instance, 20), generate_random(config))
+        (lambda instance: _yen_paths(instance, 20), generate_random(config))
         for config, *_ in _PINNED_N60
     ]
     searches = solvers.dijkstra
@@ -754,6 +759,32 @@ def test_local_search_repeats_no_search(monkeypatch):
         assert keys and not repeated, f"{len(repeated)} of {len(set(keys))} searches repeat"
 
 
+def test_local_search_closes_the_yen_pool_before_the_descent(monkeypatch):
+    # The pool holds Yen's spur memo and candidate heap.  The instance has
+    # more paths than the pool draws, so only closing the generator ends
+    # its frame before the first detour search.
+    yen, detours = solvers._yen, solvers._detours
+    pools, frames = [], []
+
+    def captured(instance):
+        pools.append(yen(instance))
+        return pools[-1]
+
+    def first_detour(*args):
+        if not frames:
+            frames.append(pools[0].gi_frame)
+        return detours(*args)
+
+    monkeypatch.setattr(solvers, "_yen", captured)
+    monkeypatch.setattr(solvers, "_detours", first_detour)
+    config, *_, expected = _PINNED_N60[0]
+    report = local_search(generate_random(config))
+    assert len(pools) == 1 and frames == [None]
+    assert (
+        report.upper_bound, report.nodes_explored, report.incumbent.vertices
+    ) == expected
+
+
 @pytest.mark.parametrize(
     "config", [c for c, *_ in _PINNED_N60] + [c for c, *_ in _PINNED_FAMILIES]
 )
@@ -761,7 +792,7 @@ def test_local_search_bound_and_seed_are_yens_first_path(config):
     # The seed path is the conflict-blind shortest path, which is also the
     # first path of the Yen pool, and the lower bound is its arc cost.
     instance = _pinned_instance(config)
-    [(cost, first)] = k_shortest_paths(instance, 1)
+    [(cost, first)] = _yen_paths(instance, 1)
     assert shortest_path_vertices(instance) == first
     assert local_search(instance, time_limit=0.0).lower_bound == cost
 
