@@ -18,14 +18,18 @@ The exported model is the standard linearisation of the problem:
 * sec_mode="omit": no cycle-breaking rows; the header warns that the
   consumer must add such cuts lazily.
 
-verify_model_at_point evaluates rows and objective in exact rational
-arithmetic, so model files can be cross-checked against solver output
-without tolerance questions.
+verify_model_at_point evaluates rows and objective exactly, so model files
+can be cross-checked against solver output without tolerance questions:
+each value is read once as a Fraction, every value is scaled by one
+common denominator D (the lcm of their denominators) to an integer, and
+rows, bounds and the objective are then summed in plain int arithmetic
+against rhs*D and bound*D.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -204,31 +208,42 @@ def verify_model_at_point(
 
     Returns (objective value, names of violated rows); bound violations
     are reported as "bound_<variable>".  Raises MissingVariableError if
-    the assignment misses any catalog variable.
+    the assignment misses any catalog variable, and a ValueError naming
+    the variable if Fraction() cannot take its value (inf, nan, None, a
+    non-numeric string).
     """
-    values: dict[str, Fraction] = {}
-    violated: list[str] = []
+    exact: list[Fraction] = []
     for var in model.variables:
         if var.name not in assignment:
             raise MissingVariableError(var.name)
-        value = values[var.name] = Fraction(assignment[var.name])
-        if not var.lower <= value <= var.upper or (
-            var.kind == "binary" and value not in (0, 1)
+        value = assignment[var.name]
+        try:
+            exact.append(Fraction(value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(
+                f"variable {var.name}: {value!r} is not a finite rational number"
+            ) from exc
+    scale = math.lcm(*(value.denominator for value in exact))
+    values: dict[str, int] = {}
+    violated: list[str] = []
+    for var, value in zip(model.variables, exact):
+        scaled = values[var.name] = value.numerator * (scale // value.denominator)
+        if not var.lower * scale <= scaled <= var.upper * scale or (
+            var.kind == "binary" and scaled not in (0, scale)
         ):
             violated.append(f"bound_{var.name}")
     for row in model.rows:
-        lhs = sum((coeff * values[name] for coeff, name in row.terms), Fraction(0))
+        lhs = sum(coeff * values[name] for coeff, name in row.terms)
+        rhs = row.rhs * scale
         ok = (
-            lhs <= row.rhs if row.sense == "<="
-            else lhs >= row.rhs if row.sense == ">="
-            else lhs == row.rhs
+            lhs <= rhs if row.sense == "<="
+            else lhs >= rhs if row.sense == ">="
+            else lhs == rhs
         )
         if not ok:
             violated.append(row.name)
-    objective = sum(
-        (coeff * values[name] for coeff, name in model.objective_terms), Fraction(0)
-    )
-    return objective, violated
+    objective = sum(coeff * values[name] for coeff, name in model.objective_terms)
+    return Fraction(objective, scale), violated
 
 
 def induced_assignment(instance: Instance, solution: PathSolution) -> dict[str, int]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -15,13 +16,16 @@ from spedac import (
     MissingVariableError,
     PathSolution,
     RandomConfig,
+    SmallWorldConfig,
     brute_force,
     enumerate_simple_paths,
     evaluate,
     export_flow_model,
     generate_random,
+    generate_small_world,
     induced_assignment,
     instance_digest,
+    shortest_path_vertices,
     validate_selection,
     verify_model_at_point,
 )
@@ -289,6 +293,125 @@ def test_verifier_flags_the_ordered_cycle_specimen():
         point[f"u_{v}"] = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2}[v]
     _, violated = verify_model_at_point(model, point)
     assert any(name.startswith("mtz_") for name in violated)
+
+
+def test_unreadable_value_raises_a_value_error_naming_the_variable(golden):
+    model = export_flow_model(golden)
+    point = induced_assignment(golden, evaluate(golden, (0, 1, 3, 4, 6)))
+    for bad in (float("inf"), float("-inf"), float("nan"), None, "one", 1j):
+        point["y_1"] = bad
+        with pytest.raises(ValueError, match=r"^variable y_1: "):
+            verify_model_at_point(model, point)
+
+
+# --- exact verification against a term-by-term reference --------------------
+
+def _reference_verify(model, assignment):
+    """Term-by-term Fraction evaluation of every bound, row and the objective.
+
+    The verifier's earlier body, kept as a test-only reference for the
+    common-denominator integer arithmetic that replaced it.
+    """
+    values = {}
+    violated = []
+    for var in model.variables:
+        value = values[var.name] = Fraction(assignment[var.name])
+        if not var.lower <= value <= var.upper or (
+            var.kind == "binary" and value not in (0, 1)
+        ):
+            violated.append(f"bound_{var.name}")
+    for row in model.rows:
+        lhs = sum((coeff * values[name] for coeff, name in row.terms), Fraction(0))
+        ok = (
+            lhs <= row.rhs if row.sense == "<="
+            else lhs >= row.rhs if row.sense == ">="
+            else lhs == row.rhs
+        )
+        if not ok:
+            violated.append(row.name)
+    objective = sum(
+        (coeff * values[name] for coeff, name in model.objective_terms), Fraction(0)
+    )
+    return objective, violated
+
+
+def _assert_matches_reference(model, point):
+    got = verify_model_at_point(model, point)
+    assert type(got[0]) is Fraction
+    assert repr(got) == repr(_reference_verify(model, point))
+
+
+# Ints, mixed-denominator Fractions, binary floats, fractional binaries
+# and values outside the bounds.
+_PERTURBATIONS = (
+    0, 1, -1, 2, 40,
+    Fraction(1, 2), Fraction(1, 3), Fraction(-5, 7), Fraction(11, 6), Fraction(9, 4),
+    0.1, 2.5, 0.5, -0.25,
+)
+
+
+def test_verifier_matches_the_reference_on_perturbed_points(golden):
+    instances = [golden] + [
+        generate_random(RandomConfig(n=n, d=d, r=0.02, penalty_range=(1, 30), seed=s))
+        for n, d, s in ((6, 0.5, 1), (8, 0.35, 2), (10, 0.3, 3), (12, 0.25, 4),
+                        (16, 0.2, 5), (20, 0.15, 6), (30, 0.1, 7))
+    ] + [
+        generate_small_world(SmallWorldConfig(n=n, k=k, r=0.02, seed=s))
+        for n, k, s in ((10, 0.3, 1), (16, 0.25, 2), (24, 0.2, 3), (30, 0.15, 4))
+    ]
+    for index, instance in enumerate(instances):
+        solution = evaluate(instance, shortest_path_vertices(instance))
+        clean = induced_assignment(instance, solution)
+        for mode in ("mtz", "omit"):
+            model = export_flow_model(instance, sec_mode=mode)
+            assert verify_model_at_point(model, clean) == (solution.objective, [])
+            _assert_matches_reference(model, clean)
+            names = [var.name for var in model.variables]
+            rng = random.Random(f"{index}/{mode}")
+            for trial in range(12):
+                point = dict(clean)
+                for name in rng.sample(names, min(len(names), 1 + trial)):
+                    point[name] = rng.choice(_PERTURBATIONS)
+                _assert_matches_reference(model, point)
+
+
+def test_pipeline_size_model_verifies_at_its_shortest_path():
+    instance = generate_random(RandomConfig(n=1000, d=0.004, r=1e-4, seed=631049))
+    solution = evaluate(instance, shortest_path_vertices(instance))
+    model = export_flow_model(instance)
+    objective, violated = verify_model_at_point(
+        model, induced_assignment(instance, solution)
+    )
+    assert (objective, violated) == (solution.objective, [])
+    assert type(objective) is Fraction
+
+
+def _primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def test_pairwise_coprime_denominators_stay_exact(golden):
+    # One distinct prime denominator per variable: the common
+    # denominator is their product, the worst case of the scaling.
+    clean = induced_assignment(golden, evaluate(golden, (0, 1, 3, 4, 6)))
+    for mode in ("mtz", "omit"):
+        model = export_flow_model(golden, sec_mode=mode)
+        primes = _primes(len(model.variables))
+        nudged = {
+            var.name: clean[var.name] + Fraction(1, p)
+            for var, p in zip(model.variables, primes)
+        }
+        spread = {
+            var.name: Fraction(i, p) for i, (var, p) in enumerate(zip(model.variables, primes))
+        }
+        for point in (nudged, spread):
+            _assert_matches_reference(model, point)
 
 
 # --- LP text --------------------------------------------------------------
