@@ -187,29 +187,53 @@ def enumerate_simple_paths(instance: Instance) -> Iterator[tuple[int, ...]]:
     Depth-first with an explicit stack of outgoing-arc iterators, so the
     path length is not limited by the interpreter's recursion depth.
     """
-    return _simple_paths(instance, _Run(None))
+    return (verts for verts, _ in _simple_paths(instance, _Run(None)))
 
 
-def _simple_paths(instance: Instance, run: _Run) -> Iterator[Optional[tuple[int, ...]]]:
-    # The walk of enumerate_simple_paths; yields None once run has expired,
-    # which is tested at every 1024th backtrack, so the deadline holds
-    # however few branches reach the sink.
-    arcs = instance.arcs
+def _simple_paths(
+    instance: Instance, run: _Run
+) -> Iterator[tuple[Optional[tuple[int, ...]], int]]:
+    # The walk of enumerate_simple_paths; yields (vertices, price) per
+    # path, the price being the path's objective, and (None, 0) once run
+    # has expired, which is tested at every 1024th backtrack, so the
+    # deadline holds however few branches reach the sink.  A prefix's
+    # price is its arc cost plus penalty_total minus the penalties of the
+    # conflicts it satisfies.  Adding arc a adds w_a, plus p for each
+    # partner already on the path (the conflict is no longer satisfied)
+    # and minus p for each partner that is not (it now is); a and the
+    # price before it are kept on a stack, and the price is restored when
+    # a is taken off.
+    heads = instance.heads
+    weights = instance.weights
     outgoing = instance.outgoing
     sink = instance.sink
+    # partners[a]: (other arc, penalty) per conflict of arc a.
+    partners: list[tuple[tuple[int, int], ...]] = [()] * len(weights)
+    for c in instance.conflicts:
+        partners[c.arc_a] += ((c.arc_b, c.penalty),)
+        partners[c.arc_b] += ((c.arc_a, c.penalty),)
     path = [instance.source]
     on_path = [False] * instance.vertex_count
     on_path[instance.source] = True
+    arc_on = [False] * len(weights)
+    entered: list[tuple[int, int]] = []  # (arc, price before it) per path arc
+    price = instance.penalty_total
     stack = [iter(outgoing[instance.source])]
     backtracks = 0
     while stack:
         for a in stack[-1]:
-            v = arcs[a].head
+            v = heads[a]
             if on_path[v]:
                 continue
+            change = weights[a]
+            for b, p in partners[a]:
+                change += p if arc_on[b] else -p
             if v == sink:
-                yield (*path, v)
+                yield (*path, v), price + change
                 continue
+            entered.append((a, price))
+            price += change
+            arc_on[a] = True
             on_path[v] = True
             path.append(v)
             stack.append(iter(outgoing[v]))
@@ -217,21 +241,28 @@ def _simple_paths(instance: Instance, run: _Run) -> Iterator[Optional[tuple[int,
         else:
             stack.pop()
             on_path[path.pop()] = False
+            if entered:
+                a, price = entered.pop()
+                arc_on[a] = False
             backtracks += 1
             if backtracks % 1024 == 0 and run.expired():
-                yield None
+                yield None, 0
 
 
 def brute_force(instance: Instance, time_limit: Optional[float] = None) -> SolveReport:
-    """Exhaustive oracle: evaluate every simple source-sink path.
+    """Exhaustive oracle: price every simple source-sink path.
 
-    Raises GuardExceededError once more than BRUTE_FORCE_PATHS paths have been
-    enumerated or the optional time guard trips.  Among equal-objective
-    optima the first path in enumeration order is kept.
+    The walk prices each path incrementally (see _simple_paths), and
+    evaluate builds a PathSolution only for a path that strictly improves
+    the incumbent, so among equal-objective optima the first path in
+    enumeration order is kept.  Raises GuardExceededError once more than
+    BRUTE_FORCE_PATHS paths have been enumerated or the optional time
+    guard trips.
     """
     run = _Run(time_limit)
     count = 0
-    for verts in _simple_paths(instance, run):
+    ub: float = INFINITY  # the incumbent's objective
+    for verts, price in _simple_paths(instance, run):
         if verts is None:
             raise GuardExceededError(
                 f"time guard of {time_limit} s exceeded after {count} paths"
@@ -241,7 +272,9 @@ def brute_force(instance: Instance, time_limit: Optional[float] = None) -> Solve
             raise GuardExceededError(
                 f"more than {BRUTE_FORCE_PATHS} simple paths enumerated"
             )
-        run.offer(evaluate(instance, verts))
+        if price < ub:
+            run.offer(evaluate(instance, verts))
+            ub = run.best.objective
     if run.best is None:
         return run.report(SolveStatus.INFEASIBLE, INFINITY, count)
     return run.report(SolveStatus.OPTIMAL, run.best.objective, count)

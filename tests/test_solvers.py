@@ -14,6 +14,7 @@ import pytest
 
 from spedac import (
     ArcRecord,
+    ConflictRecord,
     GapUndefinedError,
     GuardExceededError,
     Instance,
@@ -190,6 +191,101 @@ def test_brute_force_guard(golden, monkeypatch):
     monkeypatch.setattr(solvers, "BRUTE_FORCE_PATHS", 5)
     with pytest.raises(GuardExceededError, match="more than 5 simple paths enumerated"):
         brute_force(golden)
+
+
+def test_enumeration_order_is_pinned(golden):
+    # brute_force keeps the first optimum in this order, so the order is
+    # part of the oracle's output, not only the set of paths.
+    assert list(enumerate_simple_paths(golden)) == [
+        (0, 1, 3, 4, 6), (0, 1, 3, 5, 6), (0, 1, 3, 6), (0, 1, 4, 6),
+        (0, 2, 1, 3, 4, 6), (0, 2, 1, 3, 5, 6), (0, 2, 1, 3, 6), (0, 2, 1, 4, 6),
+        (0, 2, 3, 4, 6), (0, 2, 3, 5, 6), (0, 2, 3, 6), (0, 2, 5, 6),
+    ]
+
+
+def _pricing_instances():
+    # Weights from 0 and about two conflicts per arc, so paths meet
+    # conflicts with both arcs, neither arc and one arc on them.
+    out = []
+    for seed in range(60):
+        n = 6 + seed % 5
+        out.append(generate_random(RandomConfig(
+            n=n, d=0.35, r=0.2, weight_range=(0, 5), penalty_range=(1, 20), seed=seed
+        )))
+        out.append(generate_small_world(SmallWorldConfig(
+            n=n + 1, k=0.4, r=0.2, weight_range=(0, 5), penalty_range=(1, 20), seed=seed
+        )))
+    return out
+
+
+def test_walk_prices_every_path_like_evaluate(golden):
+    states = Counter()
+    paths = 0
+    for instance in [golden, *_pricing_instances()]:
+        priced = list(solvers._simple_paths(instance, solvers._Run(None)))
+        assert [verts for verts, _ in priced] == list(enumerate_simple_paths(instance))
+        for verts, price in priced:
+            sol = evaluate(instance, verts)
+            assert price == sol.objective, verts
+            used = set(sol.arc_indices)
+            states.update((c.arc_a in used) + (c.arc_b in used) for c in instance.conflicts)
+            paths += 1
+    assert paths >= 1000
+    assert states[0] and states[1] and states[2], states
+
+
+def test_brute_force_keeps_the_first_path_of_least_evaluate():
+    # The reference prices every path with evaluate and keeps the first
+    # minimum in enumeration order.
+    for instance in _pricing_instances():
+        paths = list(enumerate_simple_paths(instance))
+        best = min(paths, key=lambda verts: evaluate(instance, verts).objective)
+        report = brute_force(instance)
+        assert report.incumbent == evaluate(instance, best)
+        assert report.nodes_explored == len(paths)
+
+
+# (status, LB, UB, nodes, incumbent vertices, satisfied conflicts) of one
+# pool entry of each perfbench pipeline sweep slot, recorded while every
+# path was still priced by evaluate.
+_PINNED_BRUTE = [
+    (
+        RandomConfig(n=14, d=0.3, r=0.02, seed=1002),
+        (SolveStatus.OPTIMAL, 1513, 1513, 1060, (0, 9, 10, 7, 4, 1, 3, 6, 12, 2, 13),
+         (0, 2, 3, 7, 8, 11, 13, 14, 15, 16, 17, 20, 23, 24)),
+    ),
+    (
+        SmallWorldConfig(n=16, k=0.25, r=0.02, seed=1024),
+        (SolveStatus.OPTIMAL, 481, 481, 3838, (0, 15), ()),
+    ),
+]
+
+
+@pytest.mark.parametrize("config, expected", _PINNED_BRUTE)
+def test_brute_force_is_pinned(config, expected):
+    generate = generate_random if isinstance(config, RandomConfig) else generate_small_world
+    report = brute_force(generate(config))
+    assert (
+        report.status, report.lower_bound, report.upper_bound, report.nodes_explored,
+        report.incumbent.vertices, report.incumbent.satisfied_conflicts,
+    ) == expected
+
+
+@pytest.mark.parametrize("first", [(0, 1, 3), (0, 2, 3)])
+def test_brute_force_keeps_the_first_of_tied_optima(first):
+    # Two paths of objective 2 through vertex 1 or 2; the arcs out of the
+    # source are listed so that the path through `first[1]` is enumerated
+    # first.  Each path uses one of the two conflicting source arcs.
+    arcs = (ArcRecord(0, first[1], 1), ArcRecord(0, 3 - first[1], 1),
+            ArcRecord(1, 3, 1), ArcRecord(2, 3, 1))
+    instance = Instance(vertex_count=4, arcs=arcs, source=0, sink=3,
+                        conflicts=(ConflictRecord(0, 1, 5),))
+    paths = list(enumerate_simple_paths(instance))
+    assert paths[0] == first
+    assert {evaluate(instance, verts).objective for verts in paths} == {2}
+    report = brute_force(instance)
+    assert report.incumbent.vertices == first
+    assert report.nodes_explored == 2
 
 
 
