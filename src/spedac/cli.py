@@ -112,8 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write the LP-format flow model")
     p.add_argument("instance", type=Path)
-    p.add_argument("--sec-mode", choices=("mtz", "omit"), default="mtz",
-                   help="cycle exclusion: mtz rows, or omit them (default mtz)")
     p.add_argument("--out", type=Path, help="output model file (default stdout)")
 
     p = sub.add_parser("bench", help="solve a directory of instances into a CSV")
@@ -218,7 +216,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    model = export_flow_model(instance, sec_mode=args.sec_mode)
+    model = export_flow_model(instance)
     text = model.render()
     if args.out is None:
         sys.stdout.write(text)

@@ -9,14 +9,12 @@ The exported model is the standard linearisation of the problem:
 * one flow-conservation row per vertex (outflow - inflow is +1 at the
   source, -1 at the sink, 0 elsewhere);
 * three linkage rows per conflict forcing y = x_a AND x_b;
-* sec_mode="mtz": continuous order variables u_v in [0, n-1] with
-  u_source fixed to 0 and one row per arc
+* continuous order variables u_v in [0, n-1] with u_source fixed to 0
+  and one Miller-Tucker-Zemlin (MTZ) row per arc
       u_head >= u_tail + 1 - n*(1 - x) ,
   emitted for every arc (also arcs entering the source, which the row
   simply forces off) so that every integer-feasible point decodes to
-  exactly one simple source-sink path;
-* sec_mode="omit": no cycle-breaking rows; the header warns that the
-  consumer must add such cuts lazily.
+  exactly one simple source-sink path.
 
 verify_model_at_point evaluates rows and objective exactly, so model files
 can be cross-checked against solver output without tolerance questions:
@@ -120,15 +118,8 @@ def instance_digest(instance: Instance) -> str:
     return hashlib.sha256(render_instance(instance).encode("ascii")).hexdigest()
 
 
-def export_flow_model(instance: Instance, sec_mode: str = "mtz") -> ExportedModel:
-    """Build the linearised flow model for an instance.
-
-    sec_mode chooses how cycles are excluded: "mtz" emits vertex-order
-    rows, "omit" leaves cycle exclusion to the consumer (flagged in the
-    header).
-    """
-    if sec_mode not in ("mtz", "omit"):
-        raise ValueError(f"sec_mode must be 'mtz' or 'omit', got {sec_mode!r}")
+def export_flow_model(instance: Instance) -> ExportedModel:
+    """Build the linearised flow model for an instance, MTZ rows included."""
     n = instance.vertex_count
     arcs = instance.arcs
     x_name = [f"x_{a.tail}_{a.head}" for a in arcs]
@@ -171,26 +162,21 @@ def export_flow_model(instance: Instance, sec_mode: str = "mtz") -> ExportedMode
     header = [
         "SPEDAC flow model",
         f"instance-sha256: {instance_digest(instance)}",
-        f"sec-mode: {sec_mode}",
+        "sec-mode: mtz",
         f"tool-version: {__version__}",
     ]
-    if sec_mode == "mtz":
-        for v in range(n):
-            upper = 0 if v == instance.source else n - 1
-            variables.append(VariableDef(f"u_{v}", "continuous", 0, upper))
-        for idx, a in enumerate(arcs):
-            # u_head - u_tail - n*x >= 1 - n  <=>  u_head >= u_tail + 1 - n(1-x)
-            rows.append(
-                ConstraintRow(
-                    f"mtz_{a.tail}_{a.head}",
-                    ((1, f"u_{a.head}"), (-1, f"u_{a.tail}"), (-n, x_name[idx])),
-                    ">=",
-                    1 - n,
-                )
+    for v in range(n):
+        upper = 0 if v == instance.source else n - 1
+        variables.append(VariableDef(f"u_{v}", "continuous", 0, upper))
+    for idx, a in enumerate(arcs):
+        # u_head - u_tail - n*x >= 1 - n  <=>  u_head >= u_tail + 1 - n(1-x)
+        rows.append(
+            ConstraintRow(
+                f"mtz_{a.tail}_{a.head}",
+                ((1, f"u_{a.head}"), (-1, f"u_{a.tail}"), (-n, x_name[idx])),
+                ">=",
+                1 - n,
             )
-    else:
-        header.append(
-            "warning: no cycle-exclusion rows; add subtour cuts lazily when solving"
         )
 
     return ExportedModel(
@@ -250,9 +236,8 @@ def induced_assignment(instance: Instance, solution: PathSolution) -> dict[str, 
     """The assignment a path induces on the exported model's variables.
 
     x flags arcs on the path, y is the AND of each conflict's arc flags,
-    u numbers path vertices by visit order (off-path vertices sit at 0;
-    an omit-mode model has no u, and the verifier ignores it), and the
-    constant variable is 1.
+    u numbers path vertices by visit order (off-path vertices sit at 0),
+    and the constant variable is 1.
     """
     flags = [0] * len(instance.arcs)
     for idx in solution.arc_indices:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 from .core import Instance, PathSolution, evaluate, satisfied_conflicts
 
@@ -109,7 +109,7 @@ def dijkstra(
     instance: Instance,
     from_sink: bool = False,
     origin: Optional[int] = None,
-    target: Optional[int] = None,
+    targets: Collection[int] = (),
     banned_vertices: frozenset[int] | set[int] = frozenset(),
     banned_arcs: frozenset[int] | set[int] = frozenset(),
     weights: Optional[Sequence[int]] = None,
@@ -122,10 +122,19 @@ def dijkstra(
     traversed backwards from origin (default the sink): distances
     measure v -> origin, and pred[v] is the arc leaving v toward it.
     Unreachable vertices carry +infinity.  Arcs in banned_arcs and arcs
-    leading into banned_vertices are skipped.  Given a target, the search
-    stops once the target's distance is final; other entries may then
-    be provisional.  weights, indexed by arc, replaces the arc weights
-    (default instance.weights); it must be non-negative.
+    leading into banned_vertices are skipped.  weights, indexed by arc,
+    replaces the arc weights (default instance.weights); it must be
+    non-negative.
+
+    Given targets, the search stops once every target is settled, and
+    once every target has a tentative distance it queues no relaxation
+    longer than the largest of them (for one target, longer than its
+    distance).  With D the largest target distance, every vertex whose
+    returned dist is at most D, each target among them, carries the dist
+    and pred of the full search, ties included: equal distances are
+    settled in vertex-id order, a vertex keeps the first predecessor that
+    reaches its distance, and a relaxation longer than D can neither
+    reach nor outrank them.  Entries above D may be provisional.
     """
     n = instance.vertex_count
     if weights is None:
@@ -140,16 +149,36 @@ def dijkstra(
         neighbours, ends = instance.incoming, instance.tails
     else:
         neighbours, ends = instance.outgoing, instance.heads
+    waiting = set(targets)  # the targets not yet settled
+    unreached = len(waiting) - (origin in waiting)  # targets at +infinity
+    bound = 0 if waiting and not unreached else INFINITY
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
             continue
-        if u == target:
-            break
+        if waiting and u in waiting:
+            waiting.remove(u)
+            if not waiting:
+                break
         for a in neighbours[u]:
             v = ends[a]
             nd = d + weights[a]
-            if nd < dist[v] and v not in banned_vertices and a not in banned_arcs:
+            if nd < dist[v]:
+                # A targeted search tests its bound before the bans, which
+                # spares most pruned arcs the lookups, and tracks its
+                # targets; an untargeted one (B&B's rounds) pays for neither.
+                if waiting:
+                    if nd > bound or v in banned_vertices or a in banned_arcs:
+                        continue
+                    if v in waiting:
+                        held = dist[v]
+                        dist[v] = nd
+                        unreached -= held == INFINITY
+                        if not unreached and held >= bound:
+                            # v had no distance or held the bound.
+                            bound = max(dist[t] for t in waiting)
+                elif v in banned_vertices or a in banned_arcs:
+                    continue
                 dist[v] = nd
                 pred[v] = a
                 heapq.heappush(heap, (nd, v))
@@ -164,7 +193,7 @@ def _route(
     # (arc cost, vertices) of the cheapest origin -> target route that
     # avoids the bans, or None when target is unreachable.  dijkstra is
     # called through the module attribute, so a wrapper counts it.
-    dist, pred = dijkstra(instance, origin=origin, target=target,
+    dist, pred = dijkstra(instance, origin=origin, targets=(target,),
                           banned_vertices=banned_vertices, banned_arcs=banned_arcs)
     if dist[target] == INFINITY:
         return None
@@ -595,65 +624,100 @@ def _yen(instance: Instance) -> Iterator[tuple[int, tuple[int, ...]]]:
         found.append(heapq.heappop(candidates))
 
 
+def _settled_tree(
+    instance: Instance, origin: int, targets: Sequence[int], banned_vertices: set[int]
+) -> list[Optional[int]]:
+    # The preds of a dijkstra from origin that stops once targets are
+    # settled, with None wherever the search may not be final (dist above
+    # the largest target distance); the rest are the full search's preds.
+    dist, pred = dijkstra(instance, origin=origin, targets=targets,
+                          banned_vertices=banned_vertices)
+    top = max(dist[t] for t in targets)
+    return [a if d <= top else None for a, d in zip(pred, dist)]
+
+
 def _detours(
-    instance: Instance, p: tuple[int, ...], i: int, memo: dict[tuple, Sequence[int]]
+    instance: Instance, p: tuple[int, ...], i: int, memo: dict[tuple, list[Optional[int]]]
 ) -> Iterator[tuple[int, list[int]]]:
     """Cheapest p[i] -> p[j] routes through no vertex of p[:i] or p[j+1:].
 
     Yields (j, arcs) in ascending j for every j > i whose route is not
     p[i..j] itself: the route that a dijkstra from p[i] with target p[j]
     and those vertices banned returns.  One dijkstra from p[i] with only
-    p[:i] banned serves every j whose tree route avoids p[j+1:]; the
-    masked search gives each vertex of that route the same distance and
-    predecessor.  (Equal distances are settled in vertex-id order among
-    the queued vertices; more bans only take vertices away or queue them
-    later, and a vertex whose tree route avoids the bans is queued by the
-    same predecessor, so no rival is settled ahead of it.)  A j whose
-    tree route enters p[j+1:] falls back to the masked search.  Every
-    p[j] is reachable along p itself.
+    p[:i] banned, stopped once p[i+1:] is settled, serves every j whose
+    tree route avoids p[j+1:]; the masked search gives each vertex of
+    that route the same distance and predecessor.  (Equal distances are
+    settled in vertex-id order among the queued vertices; more bans only
+    take vertices away or queue them later, and a vertex whose tree
+    route avoids the bans is queued by the same predecessor, so no rival
+    is settled ahead of it.)  The j whose tree route enters p[j+1:] fall
+    back to masked searches, largest j first: the search for j, with
+    p[:i] and p[j+1:] banned and the smaller failing p[j'] as targets
+    too, serves every such j' whose route in it avoids p[j'+1:], by the
+    same argument, since the bans of j' contain those of j.  Every p[j]
+    is reachable along p itself.
 
-    memo belongs to one local_search call and keeps each search's result
-    by its inputs: the tree's predecessors under p[: i + 1], the fallback
-    route's vertices under (p[: i + 1], p[j:]).  A descent step leaves
-    the prefix before its move alone, and a restart meets paths seen
-    before, so each distinct tree and fallback route is searched once per
-    solve; the routes, and so the yields, are the same as without it.
+    memo belongs to one local_search call and keeps each search's final
+    predecessors (None elsewhere, see _settled_tree) by its inputs: the
+    tree under p[: i + 1], the masked search for j under (p[: i + 1],
+    p[j:]).  A descent step leaves the prefix before its move alone, and
+    a restart meets paths seen before, so a tree is searched again only
+    when a later path needs a vertex that it did not settle, and the
+    final predecessors of both searches are kept; the routes, and so the
+    yields, are the same as without the memo.
     """
     tails = instance.tails
-    lookup = instance.arc_index
     origin = p[i]
     root = p[: i + 1]
-    pred = memo.get(root)
-    if pred is None:
-        _, pred = dijkstra(instance, origin=origin, banned_vertices=set(p[:i]))
-        memo[root] = pred
     position = {v: k for k, v in enumerate(p)}
-    along = True  # the tree route to p[j] is p[i..j]
-    for j in range(i + 1, len(p)):
-        target = p[j]
-        along = along and tails[pred[target]] == p[j - 1]
-        if along:
-            continue
+
+    def walk(pred: list[Optional[int]], j: int) -> Optional[list[int]]:
+        # The arcs of pred's route to p[j]: None when it passes a vertex of
+        # p[j+1:], [] when it is p[i..j] itself.
         arcs = []
-        v = target
+        v = p[j]
         while v != origin:
             a = pred[v]
             arcs.append(a)
             v = tails[a]
             if position.get(v, -1) > j:
-                break
-        else:
-            arcs.reverse()
-            yield j, arcs
-            continue
+                return None
+        arcs.reverse()
+        if len(arcs) == j - i and all(tails[a] == u for a, u in zip(arcs, p[i:j])):
+            return []
+        return arcs
+
+    pred = memo.get(root)
+    if pred is None or any(pred[v] is None for v in p[i + 1:]):
+        fresh = _settled_tree(instance, origin, p[i + 1:], set(p[:i]))
+        pred = memo[root] = fresh if pred is None else [
+            b if a is None else a for a, b in zip(pred, fresh)
+        ]
+    routes: list[Optional[list[int]]] = [None] * len(p)
+    failing = []
+    along = True  # the tree route to p[j] is p[i..j]
+    for j in range(i + 1, len(p)):
+        along = along and tails[pred[p[j]]] == p[j - 1]
+        if not along:
+            routes[j] = walk(pred, j)
+            if routes[j] is None:
+                failing.append(j)
+    while failing:
+        j = failing.pop()
         key = (root, p[j:])
-        route = memo.get(key)
-        if route is None:
-            route = memo[key] = _route(
-                instance, origin, target, banned_vertices={*p[:i], *p[j + 1:]}
-            )[1]
-        if route != p[i: j + 1]:
-            yield j, [lookup[pair] for pair in zip(route, route[1:])]
+        masked = memo.get(key)
+        if masked is None:
+            masked = memo[key] = _settled_tree(
+                instance, origin, [p[k] for k in failing] + [p[j]], {*p[:i], *p[j + 1:]}
+            )
+        routes[j] = walk(masked, j)
+        for k in failing:
+            if masked[p[k]] is not None:
+                routes[k] = walk(masked, k)
+        failing = [k for k in failing if routes[k] is None]
+    for j in range(i + 1, len(p)):
+        if routes[j]:
+            yield j, routes[j]
 
 
 def _detour_objective(
@@ -693,12 +757,15 @@ def local_search(
     pool's first path; the status is always FEASIBLE when the sink is
     reachable since no optimality is proven.  nodes_explored counts the
     paths priced: pool paths, detours (see _detours) and perturbations.
-    Each distinct detour tree, fallback route and Yen spur search runs
-    once per call: a memo created here keeps the detour searches by
+    A detour search settles only the vertices whose routes it reads: the
+    tree from p[i] stops once p[i+1:] is settled, and one masked search
+    serves every smaller fallback j whose route in it avoids its own
+    later vertices.  A memo created here keeps the detour searches by
     their inputs and goes when the call returns; the pool keeps its spur
-    routes and is closed after its last draw, which frees them before
-    the descent.  They change no path, tie or count: results
-    and nodes_explored are those of searching afresh every time.
+    routes, one search per distinct spur, and is closed after its last
+    draw, which frees them before the descent.  None of this changes a
+    path, tie or count: results and nodes_explored are those of running
+    every masked search in full, afresh every time.
     The schedule is iteration-bounded, so results with a fixed seed do
     not depend on the clock unless the time limit trips; the limit is
     checked between pool paths and after each start vertex of a descent
@@ -712,7 +779,7 @@ def local_search(
     lb, shortest = cheapest
     heads = instance.heads
     evaluated = 0
-    memo: dict[tuple, Sequence[int]] = {}  # _detours' searches, this call only
+    memo: dict[tuple, list[Optional[int]]] = {}  # _detours' searches, this call only
 
     def assess(verts: Sequence[int]) -> PathSolution:
         nonlocal evaluated

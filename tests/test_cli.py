@@ -269,14 +269,26 @@ def test_export_stdout_matches_library(tmp_path, capsys, golden):
     assert capsys.readouterr().out == export_flow_model(golden).render()
 
 
-def test_export_to_file_with_omit_mode(tmp_path, capsys, golden):
+def test_export_to_file_matches_library(tmp_path, capsys, golden):
     path = _golden_file(tmp_path, golden)
     out = tmp_path / "model.lp"
-    assert main(["export", str(path), "--sec-mode", "omit", "--out", str(out)]) == 0
+    assert main(["export", str(path), "--out", str(out)]) == 0
     assert capsys.readouterr().out.strip() == str(out)
     text = out.read_text(encoding="ascii")
-    assert text == export_flow_model(golden, sec_mode="omit").render()
-    assert "warning" in text
+    assert text == export_flow_model(golden).render()
+    assert "sec-mode: mtz" in text
+
+
+@pytest.mark.parametrize("mode", ["mtz", "omit"])
+def test_export_has_no_sec_mode_flag(tmp_path, capsys, golden, mode):
+    # The model always carries its MTZ rows; the flag that chose them is gone.
+    path = _golden_file(tmp_path, golden)
+    out = tmp_path / "model.lp"
+    with pytest.raises(SystemExit) as exc:
+        main(["export", str(path), "--sec-mode", mode, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sec-mode" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- bench ----------------------------------------------------------------

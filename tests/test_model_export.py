@@ -147,15 +147,6 @@ def test_mtz_rows_cover_arcs_into_the_source():
     assert any(row.name == "mtz_3_0" for row in model.rows)
 
 
-def test_omit_mode_drops_order_machinery(golden):
-    model = export_flow_model(golden, sec_mode="omit")
-    assert not any(v.name.startswith("u_") for v in model.variables)
-    assert not any(row.name.startswith("mtz_") for row in model.rows)
-    assert any("warning" in line and "cycle" in line for line in model.header)
-    with pytest.raises(ValueError, match="sec_mode"):
-        export_flow_model(golden, sec_mode="dfj")
-
-
 def test_header_identifies_instance_and_tool(golden):
     model = export_flow_model(golden)
     assert f"instance-sha256: {instance_digest(golden)}" in model.header
@@ -222,8 +213,6 @@ def test_fractional_binary_trips_its_bound(golden):
 
 
 def test_model_objective_agrees_with_evaluator_on_every_path(golden):
-    # One assignment per path serves both modes: the omit model has no u
-    # variables and the verifier reads only the model's own catalog.
     instances = [
         golden,
         _loopback_instance(),
@@ -235,7 +224,7 @@ def test_model_objective_agrees_with_evaluator_on_every_path(golden):
     ]
     for instance in instances:
         optimum = brute_force(instance).upper_bound
-        models = [export_flow_model(instance, sec_mode=m) for m in ("mtz", "omit")]
+        model = export_flow_model(instance)
         for verts in enumerate_simple_paths(instance):
             solution = evaluate(instance, verts)
             point = induced_assignment(instance, solution)
@@ -243,11 +232,10 @@ def test_model_objective_agrees_with_evaluator_on_every_path(golden):
             assert [point[f"x_{a.tail}_{a.head}"] for a in instance.arcs] == list(x)
             for k, c in enumerate(instance.conflicts):
                 assert point[f"y_{k}"] == (x[c.arc_a] and x[c.arc_b])
-            for model in models:
-                objective, violated = verify_model_at_point(model, point)
-                assert violated == []
-                assert objective == solution.objective
-                assert objective >= optimum
+            objective, violated = verify_model_at_point(model, point)
+            assert violated == []
+            assert objective == solution.objective
+            assert objective >= optimum
 
 
 def test_cycle_exclusion_admits_exactly_the_simple_paths():
@@ -362,17 +350,16 @@ def test_verifier_matches_the_reference_on_perturbed_points(golden):
     for index, instance in enumerate(instances):
         solution = evaluate(instance, shortest_path_vertices(instance))
         clean = induced_assignment(instance, solution)
-        for mode in ("mtz", "omit"):
-            model = export_flow_model(instance, sec_mode=mode)
-            assert verify_model_at_point(model, clean) == (solution.objective, [])
-            _assert_matches_reference(model, clean)
-            names = [var.name for var in model.variables]
-            rng = random.Random(f"{index}/{mode}")
-            for trial in range(12):
-                point = dict(clean)
-                for name in rng.sample(names, min(len(names), 1 + trial)):
-                    point[name] = rng.choice(_PERTURBATIONS)
-                _assert_matches_reference(model, point)
+        model = export_flow_model(instance)
+        assert verify_model_at_point(model, clean) == (solution.objective, [])
+        _assert_matches_reference(model, clean)
+        names = [var.name for var in model.variables]
+        rng = random.Random(f"{index}/mtz")
+        for trial in range(12):
+            point = dict(clean)
+            for name in rng.sample(names, min(len(names), 1 + trial)):
+                point[name] = rng.choice(_PERTURBATIONS)
+            _assert_matches_reference(model, point)
 
 
 def test_pipeline_size_model_verifies_at_its_shortest_path():
@@ -400,18 +387,17 @@ def test_pairwise_coprime_denominators_stay_exact(golden):
     # One distinct prime denominator per variable: the common
     # denominator is their product, the worst case of the scaling.
     clean = induced_assignment(golden, evaluate(golden, (0, 1, 3, 4, 6)))
-    for mode in ("mtz", "omit"):
-        model = export_flow_model(golden, sec_mode=mode)
-        primes = _primes(len(model.variables))
-        nudged = {
-            var.name: clean[var.name] + Fraction(1, p)
-            for var, p in zip(model.variables, primes)
-        }
-        spread = {
-            var.name: Fraction(i, p) for i, (var, p) in enumerate(zip(model.variables, primes))
-        }
-        for point in (nudged, spread):
-            _assert_matches_reference(model, point)
+    model = export_flow_model(golden)
+    primes = _primes(len(model.variables))
+    nudged = {
+        var.name: clean[var.name] + Fraction(1, p)
+        for var, p in zip(model.variables, primes)
+    }
+    spread = {
+        var.name: Fraction(i, p) for i, (var, p) in enumerate(zip(model.variables, primes))
+    }
+    for point in (nudged, spread):
+        _assert_matches_reference(model, point)
 
 
 # --- LP text --------------------------------------------------------------
@@ -456,18 +442,17 @@ def test_penalty_free_instance_renders_without_constant():
 
 def test_every_path_encodes_to_a_circuit():
     # Every simple path's flags decode to that path, and its induced
-    # point satisfies every row of the model in both cycle-exclusion modes.
+    # point satisfies every row of the model.
     instances = [_loopback_instance()] + [
         generate_random(RandomConfig(n=6, d=0.5, r=0.1, seed=s)) for s in range(3)
     ]
     for instance in instances:
-        models = [export_flow_model(instance, sec_mode=mode) for mode in ("mtz", "omit")]
+        model = export_flow_model(instance)
         for verts in enumerate_simple_paths(instance):
             solution = evaluate(instance, verts)
             assert validate_selection(instance, _arc_flags(instance, verts)) == solution
             point = induced_assignment(instance, solution)
-            for model in models:
-                assert verify_model_at_point(model, point) == (solution.objective, [])
+            assert verify_model_at_point(model, point) == (solution.objective, [])
 
 
 def test_tampered_circuits_are_rejected(golden):

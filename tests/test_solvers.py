@@ -6,9 +6,10 @@ import gc
 import hashlib
 import math
 import random
+import sys
 import time
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -125,10 +126,24 @@ def _route(instance, dist, pred, origin, target):
     return dist[target], steps
 
 
+def _arc_pairs(instance, dist, pred, limit):
+    # {vertex: (dist, pred as a (tail, head) pair)} for every vertex whose
+    # distance is at most limit; arc indices differ between instances.
+    pairs = {}
+    for v, (d, a) in enumerate(zip(dist, pred)):
+        if d <= limit:
+            arc = None if a is None else instance.arcs[a]
+            pairs[v] = (d, None if arc is None else (arc.tail, arc.head))
+    return pairs
+
+
 def test_dijkstra_bans_and_target_match_a_pruned_instance():
+    # Weights 0-2 make equal-distance ties.
     checked = 0
-    for seed in range(6):
-        instance = generate_random(RandomConfig(n=30, d=0.1, r=0.0, seed=seed))
+    for seed, weight_range in product(range(6), ((1, 100), (0, 2))):
+        instance = generate_random(
+            RandomConfig(n=30, d=0.1, r=0.0, weight_range=weight_range, seed=seed)
+        )
         rng = random.Random(seed)
         for _ in range(10):
             origin, target = rng.sample(range(instance.vertex_count), 2)
@@ -147,13 +162,33 @@ def test_dijkstra_bans_and_target_match_a_pruned_instance():
             early = dijkstra(
                 instance,
                 origin=origin,
-                target=target,
+                targets=(target,),
                 banned_vertices=banned_vertices,
                 banned_arcs=banned_arcs,
             )
             assert _route(instance, *early, origin, target) == _route(
                 pruned, full_dist, full_pred, origin, target
             )
+            # A multi-target stop leaves every target, and every vertex it
+            # puts no farther than the farthest target, with the full
+            # search's distance and predecessor, so each target's route is
+            # the full one.
+            targets = rng.sample(others, 4) + [target]
+            many = dijkstra(
+                instance,
+                origin=origin,
+                targets=targets,
+                banned_vertices=banned_vertices,
+                banned_arcs=banned_arcs,
+            )
+            farthest = max(many[0][t] for t in targets)
+            assert _arc_pairs(instance, *many, farthest).items() <= _arc_pairs(
+                pruned, full_dist, full_pred, farthest
+            ).items()
+            for t in targets:
+                assert _route(instance, *many, origin, t) == _route(
+                    pruned, full_dist, full_pred, origin, t
+                )
             checked += dist[target] != INFINITY
     assert checked > 20  # most draws leave the target reachable
 
@@ -619,7 +654,7 @@ def _masked_route(instance, p, i, j):
     # Reference: arcs of the masked dijkstra from p[i] to p[j] with the
     # vertices of p[:i] and p[j+1:] banned.
     _, pred = dijkstra(
-        instance, origin=p[i], target=p[j],
+        instance, origin=p[i], targets=(p[j],),
         banned_vertices=set(p[:i]) | set(p[j + 1:]),
     )
     arcs = []
@@ -642,58 +677,122 @@ def _masked_detours(instance, sol, i):
     return found
 
 
-def _shared_memo_detours(instance, reused):
-    # (sol, i, detours) for every start vertex of every _detour_paths path,
-    # all paths sharing one memo as in a local_search call.  reused counts
-    # the trees and fallback routes that a call finds cached by an earlier
-    # path: a route key holds the path's prefix and suffix, and the same
-    # prefix gives the same tree, so a cached route is one the call needs.
-    # Once the paths are done, every cached tree and route is checked
-    # against a fresh search of its key's inputs.
+def _shared_memo_detours(instance, paths, reused):
+    # (sol, i, detours) for every start vertex of every solution in paths,
+    # all sharing one memo as in a local_search call.  reused counts the
+    # trees and masked searches that a call finds cached by an earlier
+    # path: a masked key holds the path's prefix and suffix, and the same
+    # prefix gives the same tree, so a cached search is one the call
+    # needs.  Once the paths are done, every cached search is checked
+    # against a fresh full search under its key's bans: each predecessor
+    # it keeps is the full search's, and its targets (every later vertex
+    # of each path that read a tree, p[j] of a masked key) are kept.
     memo = {}
-    for sol in _detour_paths(instance):
+    read = {}  # tree key -> the later vertices of the paths that read it
+    for sol in paths:
         p = sol.vertices
         for i in range(len(p) - 1):
             root = p[: i + 1]
             reused["trees"] += root in memo
             reused["routes"] += sum((root, p[j:]) in memo for j in range(i + 1, len(p)))
+            read.setdefault(root, set()).update(p[i + 1:])
             yield sol, i, list(_detours(instance, p, i, memo))
     for key, cached in memo.items():
-        if isinstance(key[0], tuple):  # (p[: i + 1], p[j:]) -> route vertices
+        if isinstance(key[0], tuple):  # (p[: i + 1], p[j:]): the search for j
             root, rest = key
-            assert [instance.arc_index[pair] for pair in zip(cached, cached[1:])] == (
-                _masked_route(instance, root + rest, len(root) - 1, len(root))
-            )
-        else:  # p[: i + 1] -> predecessors of the tree from p[i]
-            assert cached == dijkstra(
-                instance, origin=key[-1], banned_vertices=set(key[:-1])
-            )[1]
+            origin, banned, targets = root[-1], {*root[:-1], *rest[1:]}, rest[:1]
+        else:  # p[: i + 1]: the tree from p[i]
+            origin, banned, targets = key[-1], set(key[:-1]), read[key]
+        fresh = dijkstra(instance, origin=origin, banned_vertices=banned)[1]
+        assert len(cached) == len(fresh)
+        assert all(a is None or a == b for a, b in zip(cached, fresh)), key
+        assert all(cached[t] is not None for t in targets), key
+
+
+def _detour_cases():
+    # (instance, paths) per detour instance; the paths come first, so a
+    # wrapper installed afterwards sees only the detour searches.
+    return [(instance, _detour_paths(instance)) for instance in _detour_instances()]
 
 
 def test_detour_routes_match_the_masked_reference(monkeypatch):
+    # A tree targets the path's later vertices, the sink among them; a
+    # masked search bans p[j+1:], so its targets never hold the sink.
+    cases = _detour_cases()
     fallbacks = 0
     searches = solvers.dijkstra
 
-    def counted(*args, **kwargs):
+    def counted(instance, **kwargs):
         nonlocal fallbacks
-        fallbacks += kwargs.get("target") is not None
-        return searches(*args, **kwargs)
+        fallbacks += instance.sink not in kwargs["targets"]
+        return searches(instance, **kwargs)
 
     monkeypatch.setattr(solvers, "dijkstra", counted)
     reused = Counter()
-    for instance in _detour_instances():
-        for sol, i, found in _shared_memo_detours(instance, reused):
+    for instance, paths in cases:
+        for sol, i, found in _shared_memo_detours(instance, paths, reused):
             assert found == _masked_detours(instance, sol, i)
     assert fallbacks > 0, "no route entered the later path; the fallback went untested"
     assert reused["trees"] > 0 and reused["routes"] > 0, reused
 
 
+def _tiny_shape(rng):
+    # 3-14 vertices, source 0 and sink n - 1, arcs both ways, weights drawn
+    # from {0, 0, 1, 1, 2, 3}, so equal-distance ties are everywhere.
+    n = rng.randint(3, 14)
+    density = rng.uniform(0.15, 0.5)
+    arcs = tuple(
+        ArcRecord(t, h, rng.choice((0, 0, 1, 1, 2, 3)))
+        for t in range(n) for h in range(n)
+        if t != h and rng.random() < density
+    )
+    return Instance(vertex_count=n, arcs=arcs, conflicts=(), source=0, sink=n - 1)
+
+
+def test_detours_match_the_masked_reference_on_tiny_ties(monkeypatch):
+    # Several paths of one shape share a memo, as in a local_search call,
+    # so trees are reused and rerun and masked searches serve smaller j.
+    searches = solvers.dijkstra
+    kinds = Counter()
+    trees = set()
+
+    def counted(instance, **kwargs):
+        targets = kwargs["targets"]
+        if instance.sink in targets:
+            tree = (kwargs["origin"], frozenset(kwargs["banned_vertices"]))
+            kinds["tree reruns"] += tree in trees
+            trees.add(tree)
+        else:
+            kinds["masked with several targets"] += len(targets) > 1
+        return searches(instance, **kwargs)
+
+    monkeypatch.setattr(solvers, "dijkstra", counted)
+    shapes = 0
+    for seed in range(1400):
+        rng = random.Random(f"tiny-detours/{seed}")
+        instance = _tiny_shape(rng)
+        paths = list(islice(enumerate_simple_paths(instance), 100))
+        if not paths:
+            continue
+        shapes += 1
+        memo = {}
+        trees.clear()
+        for verts in rng.sample(paths, min(len(paths), 4)):
+            sol = evaluate(instance, verts)
+            for i in range(len(verts) - 1):
+                assert list(_detours(instance, verts, i, memo)) == (
+                    _masked_detours(instance, sol, i)
+                ), (seed, verts, i)
+    assert shapes >= 1000
+    assert kinds["tree reruns"] > 0 and kinds["masked with several targets"] > 0, kinds
+
+
 def test_detour_objective_matches_evaluate():
     priced = 0
     reused = Counter()
-    for instance in _detour_instances():
+    for instance, paths in _detour_cases():
         heads = instance.heads
-        for sol, i, found in _shared_memo_detours(instance, reused):
+        for sol, i, found in _shared_memo_detours(instance, paths, reused):
             p = sol.vertices
             used = set(sol.arc_indices)
             for j, alt in found:
@@ -806,6 +905,21 @@ _PINNED_FAMILIES = [
 ]
 
 
+# The four slots of the `heuristic` benchmark workload at seed 0, with
+# the sha256 of repr(incumbent vertices), recorded before the detour
+# searches stopped at the path's last vertex.
+_PINNED_HEURISTIC = [
+    (RandomConfig(n=100, d=0.1, r=1e-3, seed=1007), 33183, 2360,
+     "8b8f4cbd3bbd1bffeeffb381a8665870e66be06efbbc226bc421231636844144"),
+    (RandomConfig(n=200, d=0.05, r=1e-4, seed=1017), 13800, 3633,
+     "8aefba682635f5e7b5cc234487f31f6360e19839b39d232b31d6ba452cd4b7a6"),
+    (SmallWorldConfig(n=100, k=0.1, r=1e-3, seed=1019), 5364, 1378,
+     "50f8398803c19bfdd5c8450b5c49edf30a62cbdb15b5012c6991c74ce95fbfac"),
+    (SmallWorldConfig(n=120, k=0.04, beta=0.0, r=1e-3, seed=1033), 1134, 4598,
+     "5170f5800143d8f3235a4e238eaf3c545c69afbee1d0120c8a448ae0ac7a0b00"),
+]
+
+
 def _pinned_instance(config):
     if isinstance(config, RandomConfig):
         return generate_random(config)
@@ -820,12 +934,24 @@ def test_local_search_is_pinned_across_families(config, seed, expected):
     ) == expected
 
 
+@pytest.mark.parametrize("config, ub, nodes, digest", _PINNED_HEURISTIC)
+def test_local_search_is_pinned_on_the_heuristic_slots(config, ub, nodes, digest):
+    instance = _pinned_instance(config)
+    report = local_search(instance, seed=0)
+    assert (report.upper_bound, report.nodes_explored) == (ub, nodes)
+    vertices = report.incumbent.vertices
+    assert hashlib.sha256(repr(vertices).encode()).hexdigest() == digest
+    assert evaluate(instance, vertices).objective == ub
+
+
 def test_local_search_repeats_no_search(monkeypatch):
     # Each solve runs every distinct shortest-path search once: the detour
-    # memo serves repeated trees and fallback routes, Yen's memo repeated
+    # memo serves repeated trees and masked searches, Yen's memo repeated
     # spur searches.  The instances are built before dijkstra is wrapped,
     # because the generators' sink check is the same search as Yen's
-    # first path.
+    # first path.  The two memos are apart, and a detour tree from the
+    # source of a one-arc path is Yen's first search, so searches are told
+    # apart by their caller too.
     solves = [
         (local_search, _pinned_instance(config))
         for config in (
@@ -841,7 +967,8 @@ def test_local_search_repeats_no_search(monkeypatch):
 
     def recorded(instance, **kwargs):
         keys.append((
-            kwargs.get("origin"), kwargs.get("target"),
+            sys._getframe(1).f_code.co_name,
+            kwargs.get("origin"), frozenset(kwargs.get("targets", ())),
             frozenset(kwargs.get("banned_vertices", ())),
             frozenset(kwargs.get("banned_arcs", ())),
         ))
