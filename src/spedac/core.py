@@ -26,7 +26,7 @@ class MalformedPathError(ValueError):
     """The vertex sequence is not a simple source-to-sink path of the instance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcRecord:
     """Directed arc tail -> head with a non-negative integer weight."""
 
@@ -44,7 +44,7 @@ class ArcRecord:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConflictRecord:
     """Unordered pair of distinct arc indices with a positive integer penalty.
 

@@ -16,12 +16,17 @@ The exported model is the standard linearisation of the problem:
   simply forces off) so that every integer-feasible point decodes to
   exactly one simple source-sink path.
 
+The catalog records (VariableDef, ConstraintRow) are named tuples.  The
+builder makes each variable name once per arc, vertex or conflict, and
+each +-1 term tuple once per arc and per vertex; every row that mentions
+a variable shares those objects.
+
 verify_model_at_point evaluates rows and objective exactly, so model files
 can be cross-checked against solver output without tolerance questions:
-each value is read once as a Fraction, every value is scaled by one
-common denominator D (the lcm of their denominators) to an integer, and
-rows, bounds and the objective are then summed in plain int arithmetic
-against rhs*D and bound*D.
+an int value is taken as it is and any other value is read once as a
+Fraction, every value is scaled by one common denominator D (the lcm of
+their denominators) to an integer, and rows, bounds and the objective
+are then summed in plain int arithmetic against rhs*D and bound*D.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from . import __version__
 from .core import Instance, PathSolution
@@ -45,16 +50,14 @@ class MissingVariableError(KeyError):
     """The assignment lacks a variable of the model."""
 
 
-@dataclass(frozen=True)
-class VariableDef:
+class VariableDef(NamedTuple):
     name: str
     kind: str  # "binary" or "continuous"
     lower: int
     upper: int
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
+class ConstraintRow(NamedTuple):
     name: str
     terms: tuple[tuple[int, str], ...]  # (coefficient, variable name)
     sense: str  # "<=", ">=", "="
@@ -74,43 +77,38 @@ class ExportedModel:
         """LP-format text: ASCII, LF endings, deterministic."""
         out: list[str] = [f"\\ {line}" for line in self.header]
         out.append("Minimize")
-        out.extend(_wrap_terms(" obj:", self.objective_terms))
+        out.append(f" obj: {_wrap_terms(self.objective_terms)}")
         out.append("Subject To")
-        for row in self.rows:
-            out.extend(_wrap_terms(f" {row.name}:", row.terms, row.sense, row.rhs))
+        out.extend([
+            f" {name}: {_wrap_terms(terms)} {sense} {rhs}"
+            for name, terms, sense, rhs in self.rows
+        ])
         out.append("Bounds")
-        for var in self.variables:
-            if var.kind == "binary":
+        for name, kind, lower, upper in self.variables:
+            if kind == "binary":
                 continue
-            if var.lower == var.upper:
-                out.append(f" {var.name} = {var.lower}")
+            if lower == upper:
+                out.append(f" {name} = {lower}")
             else:
-                out.append(f" {var.lower} <= {var.name} <= {var.upper}")
+                out.append(f" {lower} <= {name} <= {upper}")
         out.append("Binaries")
-        for var in self.variables:
-            if var.kind == "binary":
-                out.append(f" {var.name}")
+        out.extend([f" {name}" for name, kind, _, _ in self.variables if kind == "binary"])
         out.append("End")
         return "\n".join(out) + "\n"
 
 
-def _wrap_terms(
-    prefix: str,
-    terms: Sequence[tuple[int, str]],
-    sense: Optional[str] = None,
-    rhs: Optional[int] = None,
-    per_line: int = 8,
-) -> list[str]:
-    pieces = [f"{'-' if coeff < 0 else '+'} {abs(coeff)} {name}" for coeff, name in terms]
-    if not pieces:
-        pieces = ["+ 0 " + CONSTANT_VAR]
-    lines = []
-    for i in range(0, len(pieces), per_line):
-        chunk = " ".join(pieces[i: i + per_line])
-        lines.append(f"{prefix} {chunk}" if i == 0 else f"   {chunk}")
-    if sense is not None:
-        lines[-1] += f" {sense} {rhs}"
-    return lines
+def _wrap_terms(terms: Sequence[tuple[int, str]], per_line: int = 8) -> str:
+    """Signed terms, per_line to a line, later lines indented by three spaces.
+
+    An empty sum is written as the zero multiple of the constant variable.
+    """
+    pieces = [
+        f"- {-coeff} {name}" if coeff < 0 else f"+ {coeff} {name}" for coeff, name in terms
+    ] or ["+ 0 " + CONSTANT_VAR]
+    # The join's separator completes "\n  " to the three-space indent.
+    for i in range(per_line - 1, len(pieces) - 1, per_line):
+        pieces[i] += "\n  "
+    return " ".join(pieces)
 
 
 def instance_digest(instance: Instance) -> str:
@@ -122,68 +120,67 @@ def export_flow_model(instance: Instance) -> ExportedModel:
     """Build the linearised flow model for an instance, MTZ rows included."""
     n = instance.vertex_count
     arcs = instance.arcs
+    conflicts = instance.conflicts
+    # Every name and every +-1 term is made once and shared by the rows.
     x_name = [f"x_{a.tail}_{a.head}" for a in arcs]
-    y_name = [f"y_{k}" for k in range(len(instance.conflicts))]
+    y_name = [f"y_{k}" for k in range(len(conflicts))]
+    u_name = [f"u_{v}" for v in range(n)]
+    plus_x = [(1, x) for x in x_name]
+    minus_x = [(-1, x) for x in x_name]
+    plus_u = [(1, u) for u in u_name]
+    minus_u = [(-1, u) for u in u_name]
 
     variables: list[VariableDef] = [VariableDef(CONSTANT_VAR, "continuous", 1, 1)]
-    variables.extend(VariableDef(name, "binary", 0, 1) for name in x_name)
-    variables.extend(VariableDef(name, "binary", 0, 1) for name in y_name)
+    variables.extend([VariableDef(name, "binary", 0, 1) for name in x_name])
+    variables.extend([VariableDef(name, "binary", 0, 1) for name in y_name])
+    variables.extend([
+        VariableDef(u, "continuous", 0, 0 if v == instance.source else n - 1)
+        for v, u in enumerate(u_name)
+    ])
 
     # Objective: w*x collects -p for each conflict the arc belongs to,
     # y gets 2p, and the constant sum(p) rides on the fixed variable.
     x_coeff = [a.weight for a in arcs]
-    for c in instance.conflicts:
+    for c in conflicts:
         x_coeff[c.arc_a] -= c.penalty
         x_coeff[c.arc_b] -= c.penalty
     objective: list[tuple[int, str]] = [
         (coeff, name) for coeff, name in zip(x_coeff, x_name) if coeff != 0
     ]
-    objective.extend(
-        (2 * c.penalty, y_name[k]) for k, c in enumerate(instance.conflicts)
-    )
+    objective.extend([(2 * c.penalty, y) for c, y in zip(conflicts, y_name)])
     if instance.penalty_total:
         objective.append((instance.penalty_total, CONSTANT_VAR))
 
+    rhs = [0] * n
+    rhs[instance.source] = 1
+    rhs[instance.sink] = -1
     rows: list[ConstraintRow] = []
-    for v in range(n):
-        terms = [(1, x_name[a]) for a in instance.outgoing[v]]
-        terms += [(-1, x_name[a]) for a in instance.incoming[v]]
-        rhs = 1 if v == instance.source else (-1 if v == instance.sink else 0)
-        rows.append(ConstraintRow(f"flow_{v}", tuple(terms), "=", rhs))
-    for k, c in enumerate(instance.conflicts):
-        y = y_name[k]
-        a, b = x_name[c.arc_a], x_name[c.arc_b]
-        rows.append(
-            ConstraintRow(f"penalty_lb_{k}", ((1, y), (-1, a), (-1, b)), ">=", -1)
-        )
-        rows.append(ConstraintRow(f"penalty_ub_a_{k}", ((1, y), (-1, a)), "<=", 0))
-        rows.append(ConstraintRow(f"penalty_ub_b_{k}", ((1, y), (-1, b)), "<=", 0))
+    for v, out, into in zip(range(n), instance.outgoing, instance.incoming):
+        terms = (*map(plus_x.__getitem__, out), *map(minus_x.__getitem__, into))
+        rows.append(ConstraintRow(f"flow_{v}", terms, "=", rhs[v]))
+    for k, c in enumerate(conflicts):
+        y = (1, y_name[k])
+        a, b = minus_x[c.arc_a], minus_x[c.arc_b]
+        rows.append(ConstraintRow(f"penalty_lb_{k}", (y, a, b), ">=", -1))
+        rows.append(ConstraintRow(f"penalty_ub_a_{k}", (y, a), "<=", 0))
+        rows.append(ConstraintRow(f"penalty_ub_b_{k}", (y, b), "<=", 0))
+    # u_head - u_tail - n*x >= 1 - n  <=>  u_head >= u_tail + 1 - n(1-x)
+    rows.extend([
+        ConstraintRow("mtz" + x[1:], (plus_u[a.head], minus_u[a.tail], (-n, x)), ">=", 1 - n)
+        for a, x in zip(arcs, x_name)
+    ])
 
-    header = [
+    header = (
         "SPEDAC flow model",
         f"instance-sha256: {instance_digest(instance)}",
         "sec-mode: mtz",
         f"tool-version: {__version__}",
-    ]
-    for v in range(n):
-        upper = 0 if v == instance.source else n - 1
-        variables.append(VariableDef(f"u_{v}", "continuous", 0, upper))
-    for idx, a in enumerate(arcs):
-        # u_head - u_tail - n*x >= 1 - n  <=>  u_head >= u_tail + 1 - n(1-x)
-        rows.append(
-            ConstraintRow(
-                f"mtz_{a.tail}_{a.head}",
-                ((1, f"u_{a.head}"), (-1, f"u_{a.tail}"), (-n, x_name[idx])),
-                ">=",
-                1 - n,
-            )
-        )
-
+    )
     return ExportedModel(
         variables=tuple(variables),
         objective_terms=tuple(objective),
         rows=tuple(rows),
-        header=tuple(header),
+        header=header,
     )
 
 
@@ -198,37 +195,39 @@ def verify_model_at_point(
     the variable if Fraction() cannot take its value (inf, nan, None, a
     non-numeric string).
     """
-    exact: list[Fraction] = []
-    for var in model.variables:
-        if var.name not in assignment:
-            raise MissingVariableError(var.name)
-        value = assignment[var.name]
-        try:
-            exact.append(Fraction(value))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(
-                f"variable {var.name}: {value!r} is not a finite rational number"
-            ) from exc
-    scale = math.lcm(*(value.denominator for value in exact))
+    exact: list[Number] = []
+    for name, _, _, _ in model.variables:
+        if name not in assignment:
+            raise MissingVariableError(name)
+        value = assignment[name]
+        if type(value) is not int:
+            try:
+                value = Fraction(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(
+                    f"variable {name}: {value!r} is not a finite rational number"
+                ) from exc
+        exact.append(value)
+    scale = math.lcm(*[value.denominator for value in exact])
     values: dict[str, int] = {}
     violated: list[str] = []
-    for var, value in zip(model.variables, exact):
-        scaled = values[var.name] = value.numerator * (scale // value.denominator)
-        if not var.lower * scale <= scaled <= var.upper * scale or (
-            var.kind == "binary" and scaled not in (0, scale)
+    for (name, kind, lower, upper), value in zip(model.variables, exact):
+        scaled = values[name] = value.numerator * (scale // value.denominator)
+        if not lower * scale <= scaled <= upper * scale or (
+            kind == "binary" and scaled != 0 and scaled != scale
         ):
-            violated.append(f"bound_{var.name}")
-    for row in model.rows:
-        lhs = sum(coeff * values[name] for coeff, name in row.terms)
-        rhs = row.rhs * scale
+            violated.append(f"bound_{name}")
+    for name, terms, sense, rhs in model.rows:
+        lhs = sum([coeff * values[x] for coeff, x in terms])
+        rhs *= scale
         ok = (
-            lhs <= rhs if row.sense == "<="
-            else lhs >= rhs if row.sense == ">="
+            lhs <= rhs if sense == "<="
+            else lhs >= rhs if sense == ">="
             else lhs == rhs
         )
         if not ok:
-            violated.append(row.name)
-    objective = sum(coeff * values[name] for coeff, name in model.objective_terms)
+            violated.append(name)
+    objective = sum([coeff * values[name] for coeff, name in model.objective_terms])
     return Fraction(objective, scale), violated
 
 

@@ -348,6 +348,16 @@ def test_core_types_are_immutable(golden):
         golden.source = 3
     with pytest.raises(dataclasses.FrozenInstanceError):
         golden.arcs[0].weight = 9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        golden.conflicts[0].penalty = 1
+    # The records are slotted: no per-record attribute dict.
+    assert not hasattr(golden.arcs[0], "__dict__")
+    assert not hasattr(golden.conflicts[0], "__dict__")
+    model = export_flow_model(golden)
+    with pytest.raises(AttributeError):
+        model.variables[0].upper = 2
+    with pytest.raises(AttributeError):
+        model.rows[0].rhs = 5
 
 
 def test_adjacency_tables(golden):

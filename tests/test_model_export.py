@@ -329,12 +329,13 @@ def _assert_matches_reference(model, point):
     assert repr(got) == repr(_reference_verify(model, point))
 
 
-# Ints, mixed-denominator Fractions, binary floats, fractional binaries
-# and values outside the bounds.
+# Ints (big ones too), bools, mixed-denominator Fractions, binary floats,
+# fractional binaries and values outside the bounds.
 _PERTURBATIONS = (
     0, 1, -1, 2, 40,
     Fraction(1, 2), Fraction(1, 3), Fraction(-5, 7), Fraction(11, 6), Fraction(9, 4),
     0.1, 2.5, 0.5, -0.25,
+    True, False, 10**30,
 )
 
 
@@ -424,6 +425,21 @@ def test_render_spells_signs_and_senses(golden):
     assert " u_0 = 0" in text
     assert " 0 <= u_1 <= 6" in text
     assert "\n x_0_1\n" in text  # Binaries section lists bare names
+
+
+def test_render_writes_an_empty_row_and_wraps_after_eight_terms():
+    # Vertex 2 touches ten arcs (8 out, 2 in); vertex 10 touches none.
+    heads = (1, 3, 4, 5, 6, 7, 8, 9)
+    arcs = (ArcRecord(0, 2, 1), *(ArcRecord(2, h, 1) for h in heads), ArcRecord(3, 2, 1))
+    instance = Instance(vertex_count=11, arcs=arcs, conflicts=(), source=0, sink=1)
+    lines = export_flow_model(instance).render().splitlines()
+    hub = lines.index(
+        " flow_2: + 1 x_2_1 + 1 x_2_3 + 1 x_2_4 + 1 x_2_5"
+        " + 1 x_2_6 + 1 x_2_7 + 1 x_2_8 + 1 x_2_9"
+    )
+    assert lines[hub + 1] == "   - 1 x_0_2 - 1 x_3_2 = 0"
+    assert " flow_10: + 0 ONE_VAR_CONSTANT = 0" in lines
+    assert " flow_1: - 1 x_2_1 = -1" in lines
 
 
 def test_penalty_free_instance_renders_without_constant():
