@@ -71,8 +71,8 @@ def _generate(config):
     return generate_small_world(config)
 
 
-def pinned_artifacts(workdir: Path, golden) -> dict[str, str]:
-    """sha256 of every pinned artifact, built under workdir (the cwd)."""
+def pinned_artifacts(golden) -> dict[str, str]:
+    """sha256 of every pinned artifact, built in the current directory."""
     artifacts: dict[str, str] = {}
     sweep = Path("sweep")
     for command, flags, seeds in SWEEP:
@@ -95,8 +95,7 @@ def pinned_artifacts(workdir: Path, golden) -> dict[str, str]:
                 "solve", str(path), "--method", method, "--no-timing")
     _cli("bench", str(sweep), "--method", "bb", "--method", "brute", "--no-timing",
          "--out", "bench.csv")
-    artifacts["bench/pipeline_sweep_seed0.csv"] = (workdir / "bench.csv").read_text(
-        encoding="ascii")
+    artifacts["bench/pipeline_sweep_seed0.csv"] = Path("bench.csv").read_text(encoding="ascii")
     return {
         label: hashlib.sha256(text.encode("ascii")).hexdigest()
         for label, text in sorted(artifacts.items())
@@ -106,7 +105,7 @@ def pinned_artifacts(workdir: Path, golden) -> dict[str, str]:
 def test_artifacts_match_the_manifest(tmp_path, monkeypatch, golden):
     monkeypatch.chdir(tmp_path)
     expected = json.loads(MANIFEST.read_text(encoding="ascii"))
-    got = pinned_artifacts(tmp_path, golden)
+    got = pinned_artifacts(golden)
     assert sorted(got) == sorted(expected)
     changed = [label for label in expected if got[label] != expected[label]]
     assert changed == []
@@ -119,11 +118,11 @@ if __name__ == "__main__":
 
     from conftest import build_golden
 
-    with tempfile.TemporaryDirectory() as scratch:
+    with tempfile.TemporaryDirectory() as tmp:
         here = os.getcwd()
-        os.chdir(scratch)
+        os.chdir(tmp)
         try:
-            digests = pinned_artifacts(Path(scratch), build_golden())
+            digests = pinned_artifacts(build_golden())
         finally:
             os.chdir(here)
     MANIFEST.write_text(json.dumps(digests, indent=1) + "\n", encoding="ascii")
