@@ -13,7 +13,11 @@ generators and ``cli.main`` and compares its digest with
   instance and on one instance of each ``sweep`` slot;
 * the ``spedac bench --method bb --method brute --no-timing`` CSV of the
   seed-0 ``pipeline`` sweep (eight files);
-* ``render_instance`` of one generated instance per family.
+* ``render_instance`` of one generated instance per family;
+* ``branch_and_bound`` on the 48 ``exact`` and 16 ``sweep`` pool instances
+  of perfbench (status, LB, UB, nodes, the root bound and the incumbent's
+  vertices) and ``brute_force`` on the ``sweep`` ones (UB, path count and
+  vertices).
 
 A change that alters an artifact on purpose refreshes the manifest with
 ``PYTHONPATH=src python tests/test_artifact_pins.py`` and states the
@@ -23,6 +27,7 @@ change in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -37,6 +42,7 @@ from spedac import (
     save_instance,
 )
 from spedac.cli import main
+from spedac.solvers import branch_and_bound, brute_force
 
 MANIFEST = Path(__file__).resolve().parent / "artifact_pins.json"
 
@@ -55,6 +61,20 @@ LARGE = {
     "random_n1000_s639207": RandomConfig(n=1000, d=0.004, r=1e-4, seed=639207),
 }
 RENDERED = ("random_n500_s585647", "smallworld_n600_s505815")
+# perfbench's exact and sweep pools (perfbench/pools.json), copied so
+# that no benchmark file is read: each slot's config and its seeds.
+EXACT_POOL = [
+    (RandomConfig(n=30, d=0.15, r=0.001), (1001, 1038, 1042, 1043, 1051, 1089, 1172, 1242)),
+    (RandomConfig(n=35, d=0.1, r=0.001), (1034, 1067, 1098, 1103, 1141, 1151, 1172, 1176)),
+    (RandomConfig(n=40, d=0.08, r=0.001), (1002, 1019, 1076, 1083, 1117, 1184, 1291, 1330)),
+    (RandomConfig(n=40, d=0.08, r=0.001), (1066, 1085, 1137, 1159, 1178, 1201, 1262, 1304)),
+    (SmallWorldConfig(n=40, k=0.15, r=0.001), (1008, 1031, 1063, 1080, 1124, 1134, 1141, 1173)),
+    (SmallWorldConfig(n=30, k=0.2, r=0.001), (1073, 1127, 1220, 1227, 1322, 1343, 1375, 1382)),
+]
+SWEEP_POOL = [
+    (RandomConfig(n=14, d=0.3, r=0.02), (1002, 1008, 1027, 1028, 1040, 1059, 1065, 1068)),
+    (SmallWorldConfig(n=16, k=0.25, r=0.02), (1015, 1024, 1031, 1032, 1034, 1055, 1069, 1070)),
+]
 
 
 def _cli(*argv: str) -> str:
@@ -69,6 +89,28 @@ def _generate(config):
     if isinstance(config, RandomConfig):
         return generate_random(config)
     return generate_small_world(config)
+
+
+def pool_solves() -> str:
+    """One line per solve of the pool instances, B&B on both pools and
+    brute force on the sweep pool."""
+    lines = []
+    for pool, brute in ((EXACT_POOL, False), (SWEEP_POOL, True)):
+        for slot, seeds in pool:
+            for seed in seeds:
+                config = dataclasses.replace(slot, seed=seed)
+                instance = _generate(config)
+                roots = []
+                report = branch_and_bound(
+                    instance, on_node=lambda path, bound: len(path) == 1 and roots.append(bound))
+                lines.append(f"bb {config} {report.status.value} {report.lower_bound}"
+                             f" {report.upper_bound} {report.nodes_explored} {roots[0]}"
+                             f" {report.incumbent.vertices}")
+                if brute:
+                    report = brute_force(instance)
+                    lines.append(f"brute {config} {report.upper_bound}"
+                                 f" {report.nodes_explored} {report.incumbent.vertices}")
+    return "\n".join(lines) + "\n"
 
 
 def pinned_artifacts(golden) -> dict[str, str]:
@@ -96,6 +138,7 @@ def pinned_artifacts(golden) -> dict[str, str]:
     _cli("bench", str(sweep), "--method", "bb", "--method", "brute", "--no-timing",
          "--out", "bench.csv")
     artifacts["bench/pipeline_sweep_seed0.csv"] = Path("bench.csv").read_text(encoding="ascii")
+    artifacts["solve/pools"] = pool_solves()
     return {
         label: hashlib.sha256(text.encode("ascii")).hexdigest()
         for label, text in sorted(artifacts.items())
