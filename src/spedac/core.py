@@ -163,12 +163,12 @@ class Instance:
         return sum(c.penalty for c in self.conflicts)
 
     @cached_property
-    def conflicts_of_arc(self) -> tuple[tuple[int, ...], ...]:
-        """Conflict indices that mention each arc."""
-        table: list[list[int]] = [[] for _ in self.arcs]
+    def conflict_partners(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """(conflict index, other arc, penalty) per conflict of each arc, in conflict order."""
+        table: list[list[tuple[int, int, int]]] = [[] for _ in self.arcs]
         for k, c in enumerate(self.conflicts):
-            table[c.arc_a].append(k)
-            table[c.arc_b].append(k)
+            table[c.arc_a].append((k, c.arc_b, c.penalty))
+            table[c.arc_b].append((k, c.arc_a, c.penalty))
         return tuple(tuple(x) for x in table)
 
 
@@ -232,6 +232,7 @@ def evaluate(instance: Instance, path: Sequence[int]) -> PathSolution:
     if len(set(verts)) != len(verts):
         raise MalformedPathError("path revisits a vertex")
     lookup = instance.arc_index
+    weights = instance.weights
     arc_ids = []
     arc_cost = 0
     for tail, head in zip(verts, verts[1:]):
@@ -239,7 +240,7 @@ def evaluate(instance: Instance, path: Sequence[int]) -> PathSolution:
         if idx is None:
             raise MalformedPathError(f"no arc ({tail}, {head}) in the instance")
         arc_ids.append(idx)
-        arc_cost += instance.arcs[idx].weight
+        arc_cost += weights[idx]
     satisfied, relief = satisfied_conflicts(instance, set(arc_ids), arc_ids)
     return PathSolution(
         vertices=verts,
@@ -261,16 +262,15 @@ def satisfied_conflicts(
     change of arcs moves it only through the conflicts of the arcs that
     change.
     """
-    conflicts = instance.conflicts
-    table = instance.conflicts_of_arc
+    table = instance.conflict_partners
     found: set[int] = set()
     relief = 0
     for a in arcs:
-        for k in table[a]:
-            c = conflicts[k]
-            if (c.arc_a in used) != (c.arc_b in used) and k not in found:
+        a_used = a in used
+        for k, b, p in table[a]:
+            if (b in used) != a_used and k not in found:
                 found.add(k)
-                relief += c.penalty
+                relief += p
     return found, relief
 
 

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Callable, Collection, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .core import Instance, PathSolution, evaluate, satisfied_conflicts
 
@@ -236,11 +236,7 @@ def _simple_paths(
     weights = instance.weights
     outgoing = instance.outgoing
     sink = instance.sink
-    # partners[a]: (other arc, penalty) per conflict of arc a.
-    partners: list[tuple[tuple[int, int], ...]] = [()] * len(weights)
-    for c in instance.conflicts:
-        partners[c.arc_a] += ((c.arc_b, c.penalty),)
-        partners[c.arc_b] += ((c.arc_a, c.penalty),)
+    partners = instance.conflict_partners
     path = [instance.source]
     on_path = [False] * instance.vertex_count
     on_path[instance.source] = True
@@ -255,7 +251,7 @@ def _simple_paths(
             if on_path[v]:
                 continue
             change = weights[a]
-            for b, p in partners[a]:
+            for _, b, p in partners[a]:
                 change += p if arc_on[b] else -p
             if v == sink:
                 yield (*path, v), price + change
@@ -309,50 +305,61 @@ def brute_force(instance: Instance, time_limit: Optional[float] = None) -> Solve
     return run.report(SolveStatus.OPTIMAL, run.best.objective, count)
 
 
-def _reduced_costs(instance: Instance, mu: Sequence[int]) -> list[int]:
-    # r_a = w_a - sum of the multipliers of the conflicts that mention a.
-    reduced = list(instance.weights)
-    for c, m in zip(instance.conflicts, mu):
-        reduced[c.arc_a] -= m
-        reduced[c.arc_b] -= m
-    return reduced
+class _Root(NamedTuple):
+    """What the walk of branch_and_bound reads; built once per solve by _root."""
+
+    dist_sink: list[float]  # conflict-blind distance to the sink
+    dist_mu: list[float]  # distance to the sink under max(0, r)
+    partners: list[tuple[tuple[int, int, int], ...]]  # (other arc, mu_k, p_k) per conflict
+    order: list[tuple[int, ...]]  # out-arcs of each vertex in child order
+    conflicted: list[tuple[int, ...]]  # the arcs of order[v] in some conflict
+    negative_out: list[int]  # sum of min(0, r_a) over the arcs of order[v]
+    open_mu: int  # sum(mu)
+    negative_sum: int  # sum of min(0, r_a) over every arc
+    bound: int  # the best round's L(mu), the root's bound
+    priced: tuple[int, ...]  # the least-objective path the rounds priced
 
 
-def _conflict_multipliers(
-    instance: Instance,
-    first: tuple[list[float], list[Optional[int]]],
-    run: _Run,
-) -> tuple[list[int], list[float], tuple[int, ...]]:
-    """Integer Lagrangian multipliers for the conflicts, by subgradient ascent.
+def _root(instance: Instance, run: _Run) -> Optional[_Root]:
+    """The root of branch_and_bound, or None when the sink is unreachable.
 
-    Since p*|1 - x_a - x_b| >= mu*(1 - x_a - x_b) whenever |mu| <= p,
-    every mu_k in [-p_k, p_k] gives the lower bound
+    Picks integer Lagrangian multipliers for the conflicts by subgradient
+    ascent.  Since p*|1 - x_a - x_b| >= mu*(1 - x_a - x_b) whenever
+    |mu| <= p, every mu_k in [-p_k, p_k] gives the lower bound
         L(mu) = sum(mu) + SP+(source) + sum_a min(0, r_a)
-    with r the reduced costs of _reduced_costs and SP+ the shortest
-    distance under max(0, r).  Polyak steps toward the best path objective
-    seen, rounded to integers and clipped to [-p_k, p_k], run for at most
-    LAGRANGE_ROUNDS rounds; the step size halves after LAGRANGE_PATIENCE
-    rounds without a better bound.  The search stops early on a zero
-    subgradient, once run has expired, or when a step moves no multiplier:
-    each multiplier with a nonzero subgradient then sits at the clip bound
-    it is pushed against, so every later round, whatever its step, would
-    repeat the same bound and leave mu where it is.  first is the backward
-    dijkstra at mu = 0.  Returns the multipliers of the best bound, their
-    backward distances under max(0, r), and the path of least objective
-    among the rounds' paths (round 0's is a conflict-blind shortest path).
+    with r_a = w_a minus the multipliers of the conflicts of a, and SP+ the
+    shortest distance under max(0, r).  Polyak steps toward the best path
+    objective seen, rounded to integers and clipped to [-p_k, p_k], run
+    for at most LAGRANGE_ROUNDS rounds; the step size halves after
+    LAGRANGE_PATIENCE rounds without a better bound.  The search stops
+    early on a zero subgradient, once run has expired, or when a step moves
+    no multiplier: each multiplier with a nonzero subgradient then sits at
+    the clip bound it is pushed against, so every later round, whatever its
+    step, would repeat the same bound and leave mu where it is.  Round 0
+    runs at mu = 0, where r = w, so the best bound is at least
+    dist_sink[source].
+    The record is built from the best round's multipliers, distances and
+    reduced costs, and keeps the least-objective path among the rounds'
+    (round 0's is a conflict-blind shortest path).
     """
-    arcs = instance.arcs
+    source, sink = instance.source, instance.sink
+    dist, pred = dijkstra(instance, from_sink=True)
+    if dist[source] == INFINITY:
+        return None
+    dist_sink = dist
+    heads = instance.heads
     weights = instance.weights
     conflicts = instance.conflicts
-    source, sink = instance.source, instance.sink
     mu = [0] * len(conflicts)
-    dist, pred = first
-    best, best_mu, best_dist = -INFINITY, mu, dist
+    best, best_mu, best_dist, best_reduced = -INFINITY, mu, dist, weights
     target, best_pred = INFINITY, pred
     scale = 1.0
     stale = 0
     for round_ in range(LAGRANGE_ROUNDS):
-        reduced = _reduced_costs(instance, mu)
+        reduced = list(weights)
+        for c, m in zip(conflicts, mu):
+            reduced[c.arc_a] -= m
+            reduced[c.arc_b] -= m
         if round_:
             dist, pred = dijkstra(
                 instance, from_sink=True, weights=[r if r > 0 else 0 for r in reduced]
@@ -368,7 +375,7 @@ def _conflict_multipliers(
             path_arcs.add(a)
             chosen[a] = True
             cost += weights[a]
-            v = arcs[a].head
+            v = heads[a]
         objective = cost + sum(
             c.penalty for c in conflicts
             if (c.arc_a in path_arcs) == (c.arc_b in path_arcs)
@@ -376,7 +383,7 @@ def _conflict_multipliers(
         if objective < target:
             target, best_pred = objective, pred
         if bound > best:
-            best, best_mu, best_dist, stale = bound, mu, dist, 0
+            best, best_mu, best_dist, best_reduced, stale = bound, mu, dist, reduced, 0
         else:
             stale += 1
             if stale == LAGRANGE_PATIENCE:
@@ -395,8 +402,18 @@ def _conflict_multipliers(
         mu = moved
     path = [source]
     while path[-1] != sink:
-        path.append(arcs[best_pred[path[-1]]].head)
-    return best_mu, best_dist, tuple(path)
+        path.append(heads[best_pred[path[-1]]])
+    negative = [r if r < 0 else 0 for r in best_reduced]
+    # Most arcs are in no conflict; their empty rows are kept as they are.
+    partners = [row and tuple([(b, best_mu[k], p) for k, b, p in row])
+                for row in instance.conflict_partners]
+    # Children by arc weight plus the head's distance to the sink, ties by index.
+    order = [tuple(sorted(out, key=lambda i: (weights[i] + dist_sink[heads[i]], i)))
+             for out in instance.outgoing]
+    return _Root(dist_sink, best_dist, partners, order,
+                 [tuple(a for a in arcs if partners[a]) for arcs in order],
+                 [sum(negative[a] for a in arcs) for arcs in order],
+                 sum(best_mu), sum(negative), best, tuple(path))
 
 
 def branch_and_bound(
@@ -409,10 +426,10 @@ def branch_and_bound(
 
     An arc is decided-in when it lies on the partial path and decided-out
     when its tail is a non-endpoint path vertex; every other arc is
-    undecided.  The root picks integer conflict multipliers mu (see
-    _conflict_multipliers) with reduced costs r; dist_mu is the distance
-    to the sink under max(0, r).  The bound at a node ending in v with
-    partial arc cost g is
+    undecided.  _root picks integer conflict multipliers mu with reduced
+    costs r, and builds every table the walk reads; dist_mu is the
+    distance to the sink under max(0, r).  The bound at a node ending in v
+    with partial arc cost g is
 
         g + committed + max(dist_sink[v],
                             open_mu + dist_mu[v] + sum of min(0, r_a)
@@ -422,16 +439,16 @@ def branch_and_bound(
     both decided and in the same state, open_mu the multiplier sum over
     the other conflicts that have no arc on the path, and dist_sink the
     conflict-blind distance to the sink.  Both terms of the max are
-    valid; at mu = 0 the second equals the first.  These sums, and the
-    penalty sum over the same conflicts as open_mu, are kept
-    incrementally, so a leaf's objective is g + committed + that penalty
-    sum; evaluate builds the PathSolution only on a strict improvement.
-    Out-arcs are excluded once per node and each child flips only its own
-    arc in and back out.  Nodes are pruned when the bound reaches the
-    incumbent.  Children are tried by ascending arc weight plus
-    distance-to-sink of the head, ties by arc index, which makes the
-    search deterministic; the incumbent is the first optimum in that
-    order, whatever the bound.
+    valid; at mu = 0 the second equals the first.  At the root the bound
+    is the best multiplier round's.  These sums, and the penalty sum over
+    the same conflicts as open_mu, are kept incrementally, so a leaf's
+    objective is g + committed + that penalty sum; evaluate builds the
+    PathSolution only on a strict improvement.  Out-arcs are excluded
+    once per node and each child flips only its own arc in and back out.
+    Nodes are pruned when the bound reaches the incumbent.  Children are
+    tried by ascending arc weight plus distance-to-sink of the head, ties
+    by arc index, which makes the search deterministic; the incumbent is
+    the first optimum in that order, whatever the bound.
 
     The wall clock is consulted at the root and every 1024 nodes.  A
     deadline that passed while the multipliers were chosen stops the walk
@@ -442,42 +459,22 @@ def branch_and_bound(
     instrumentation: the tests and perfbench's tracing pass them.
     """
     run = _Run(time_limit)
-    dist_sink, pred_sink = dijkstra(instance, from_sink=True)
-    source, sink = instance.source, instance.sink
-    n = instance.vertex_count
-    arcs = instance.arcs
-    weights = instance.weights
-    conflicts = instance.conflicts
-
-    if dist_sink[source] == INFINITY:
+    root = _root(instance, run)
+    if root is None:
         return run.report(SolveStatus.INFEASIBLE, INFINITY, 0)
-
-    mu, dist_mu, priced = _conflict_multipliers(instance, (dist_sink, pred_sink), run)
-    negative = [min(0, r) for r in _reduced_costs(instance, mu)]
-    # partners[a]: (other arc, multiplier, penalty) per conflict of arc a.
-    partners: list[tuple[tuple[int, int, int], ...]] = [()] * len(arcs)
-    for c, m in zip(conflicts, mu):
-        partners[c.arc_a] += ((c.arc_b, m, c.penalty),)
-        partners[c.arc_b] += ((c.arc_a, m, c.penalty),)
-
+    (dist_sink, dist_mu, partners, order, conflicted, negative_out,
+     open_mu, negative_sum, root_bound, priced) = root
+    source, sink = instance.source, instance.sink
     heads = instance.heads
-    order: list[tuple[int, ...]] = []
-    for v in range(n):
-        ranked = sorted(
-            instance.outgoing[v],
-            key=lambda i: (weights[i] + dist_sink[heads[i]], i),
-        )
-        order.append(tuple(ranked))
-    conflicted = [tuple(a for a in order[v] if partners[a]) for v in range(n)]
-    negative_out = [sum(negative[a] for a in order[v]) for v in range(n)]
+    weights = instance.weights
 
     # 0 undecided, 1 on path, 2 excluded; kept for arcs in conflicts only.
-    status = [0] * len(arcs)
+    status = [0] * len(weights)
     committed = 0  # penalties of decided conflicts: both arcs in or both out
-    open_mu = sum(mu)  # over conflicts not fully decided with no arc in
-    open_penalty = sum(c.penalty for c in conflicts)  # the same conflicts
-    negative_sum = sum(negative)  # over the undecided arcs
-    on_path = [False] * n
+    # open_mu and open_penalty sum over the conflicts not fully decided with
+    # no arc in, negative_sum over the undecided arcs.
+    open_penalty = instance.penalty_total
+    on_path = [False] * instance.vertex_count
     on_path[source] = True
     path = [source]
 
@@ -555,7 +552,6 @@ def branch_and_bound(
         for a in reversed(conflicted[u]):
             exclude(a, -1)
 
-    root_bound = max(dist_sink[source], open_mu + dist_mu[source] + negative_sum)
     timed_out = run.expired()
     if timed_out:
         # The deadline passed while the multipliers were chosen: the root is
@@ -595,6 +591,7 @@ def _yen(instance: Instance) -> Iterator[tuple[int, tuple[int, ...]]]:
     candidates: list[tuple[int, tuple[int, ...]]] = []
     spurs: dict[tuple, Optional[tuple[float, tuple[int, ...]]]] = {}
     lookup = instance.arc_index
+    weights = instance.weights
     while True:
         yield found[-1]
         _, prev = found[-1]
@@ -618,7 +615,7 @@ def _yen(instance: Instance) -> Iterator[tuple[int, tuple[int, ...]]]:
                 if full not in seen:
                     seen.add(full)
                     heapq.heappush(candidates, (root_cost + spur_route[0], full))
-            root_cost += instance.arcs[lookup[(prev[i], prev[i + 1])]].weight
+            root_cost += weights[lookup[(prev[i], prev[i + 1])]]
         if not candidates:
             return
         found.append(heapq.heappop(candidates))

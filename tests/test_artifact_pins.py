@@ -42,7 +42,7 @@ from spedac import (
     save_instance,
 )
 from spedac.cli import main
-from spedac.solvers import branch_and_bound, brute_force
+from spedac.solvers import _root, _Run, branch_and_bound, brute_force
 
 MANIFEST = Path(__file__).resolve().parent / "artifact_pins.json"
 
@@ -93,7 +93,8 @@ def _generate(config):
 
 def pool_solves() -> str:
     """One line per solve of the pool instances, B&B on both pools and
-    brute force on the sweep pool."""
+    brute force on the sweep pool.  Also checks that ``_root`` alone gives
+    the walk's root bound, its first ``on_node`` bound."""
     lines = []
     for pool, brute in ((EXACT_POOL, False), (SWEEP_POOL, True)):
         for slot, seeds in pool:
@@ -103,6 +104,7 @@ def pool_solves() -> str:
                 roots = []
                 report = branch_and_bound(
                     instance, on_node=lambda path, bound: len(path) == 1 and roots.append(bound))
+                assert _root(instance, _Run(None)).bound == roots[0]
                 lines.append(f"bb {config} {report.status.value} {report.lower_bound}"
                              f" {report.upper_bound} {report.nodes_explored} {roots[0]}"
                              f" {report.incumbent.vertices}")

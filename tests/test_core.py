@@ -95,13 +95,33 @@ def test_evaluate_cheapest_path_pays_one_penalty(golden):
     assert sol.objective == 15
 
 
+def _shared_arc_instance() -> Instance:
+    # Arc 4, (2, 3), is in conflicts 0, 1 and 3: first as arc_a, then
+    # twice as arc_b; conflict 2 between them pairs two other arcs.
+    arcs = tuple(
+        ArcRecord(tail, head, weight)
+        for tail, head, weight in (
+            (0, 1, 2), (0, 2, 1), (1, 2, 1), (1, 3, 3), (2, 3, 1), (2, 4, 5), (3, 4, 2),
+            (2, 1, 1),
+        )
+    )
+    conflicts = (
+        ConflictRecord(4, 0, 7),
+        ConflictRecord(3, 4, 5),
+        ConflictRecord(1, 6, 3),
+        ConflictRecord(6, 4, 2),
+    )
+    return Instance(vertex_count=5, arcs=arcs, conflicts=conflicts, source=0, sink=4)
+
+
 def test_evaluate_matches_a_scan_of_every_conflict():
     # evaluate prices only the conflicts of the path's arcs; the
     # definition scans them all.
-    for seed in range(4):
-        instance = generate_random(
-            RandomConfig(n=9, d=0.5, r=0.02, penalty_range=(1, 20), seed=seed)
-        )
+    instances = [
+        generate_random(RandomConfig(n=9, d=0.5, r=0.02, penalty_range=(1, 20), seed=seed))
+        for seed in range(4)
+    ]
+    for instance in instances + [_shared_arc_instance()]:
         everything = set(range(len(instance.conflicts)))
         for verts in enumerate_simple_paths(instance):
             sol = evaluate(instance, verts)
@@ -363,7 +383,17 @@ def test_core_types_are_immutable(golden):
 def test_adjacency_tables(golden):
     assert golden.outgoing[0] == (0, 1)
     assert golden.incoming[6] == (9, 10, 11)
-    assert golden.conflicts_of_arc[0] == (0,)
-    assert golden.conflicts_of_arc[9] == (0,)
-    assert golden.conflicts_of_arc[1] == ()
+    assert golden.conflict_partners[0] == ((0, 9, 10),)
+    assert golden.conflict_partners[9] == ((0, 0, 10),)
+    assert golden.conflict_partners[1] == ()
     assert golden.arc_index[(3, 4)] == 7
+    # (conflict, other arc, penalty) per conflict, whichever side the arc
+    # is on, in conflict order.
+    instance = _shared_arc_instance()
+    assert instance.conflict_partners[4] == ((0, 0, 7), (1, 3, 5), (3, 6, 2))
+    assert instance.conflict_partners[6] == ((2, 1, 3), (3, 4, 2))
+    assert instance.conflict_partners[0] == ((0, 4, 7),)
+    assert instance.conflict_partners[3] == ((1, 4, 5),)
+    assert instance.conflict_partners[1] == ((2, 6, 3),)
+    assert instance.conflict_partners[2] == instance.conflict_partners[5] == ()
+    assert instance.conflict_partners[7] == ()

@@ -509,12 +509,13 @@ def test_branch_and_bound_stops_at_the_root_on_a_past_deadline():
 
 
 def test_branch_and_bound_root_timeout_keeps_the_best_priced_path(monkeypatch):
-    # A clock that expires the moment the multiplier rounds return: the walk
-    # stops at the root, and the incumbent is the best path the rounds
-    # priced rather than the conflict-blind shortest path.
+    # A clock that expires the moment the root record, multiplier rounds
+    # included, is built: the walk stops at the root, and the incumbent is
+    # the best path the rounds priced rather than the conflict-blind
+    # shortest path.
     instance = generate_random(RandomConfig(n=40, d=0.1, r=1e-3, seed=3))
     returned = False
-    choose = solvers._conflict_multipliers
+    choose = solvers._root
 
     def chosen(*args, **kwargs):
         nonlocal returned
@@ -522,7 +523,7 @@ def test_branch_and_bound_root_timeout_keeps_the_best_priced_path(monkeypatch):
         returned = True
         return result
 
-    monkeypatch.setattr(solvers, "_conflict_multipliers", chosen)
+    monkeypatch.setattr(solvers, "_root", chosen)
     monkeypatch.setattr(solvers._Run, "expired", lambda run: returned)
     report = branch_and_bound(instance)
     assert report.status is SolveStatus.TIME_LIMIT
