@@ -44,6 +44,7 @@ from .instance_io import render_instance
 Number = Union[int, Fraction]
 
 CONSTANT_VAR = "ONE_VAR_CONSTANT"
+_TERMS_PER_LINE = 8  # terms on one line of a written LP sum
 
 
 class MissingVariableError(KeyError):
@@ -97,8 +98,9 @@ class ExportedModel:
         return "\n".join(out) + "\n"
 
 
-def _wrap_terms(terms: Sequence[tuple[int, str]], per_line: int = 8) -> str:
-    """Signed terms, per_line to a line, later lines indented by three spaces.
+def _wrap_terms(terms: Sequence[tuple[int, str]]) -> str:
+    """Signed terms, _TERMS_PER_LINE to a line, later lines indented by
+    three spaces.
 
     An empty sum is written as the zero multiple of the constant variable.
     """
@@ -106,7 +108,7 @@ def _wrap_terms(terms: Sequence[tuple[int, str]], per_line: int = 8) -> str:
         f"- {-coeff} {name}" if coeff < 0 else f"+ {coeff} {name}" for coeff, name in terms
     ] or ["+ 0 " + CONSTANT_VAR]
     # The join's separator completes "\n  " to the three-space indent.
-    for i in range(per_line - 1, len(pieces) - 1, per_line):
+    for i in range(_TERMS_PER_LINE - 1, len(pieces) - 1, _TERMS_PER_LINE):
         pieces[i] += "\n  "
     return " ".join(pieces)
 

@@ -126,15 +126,13 @@ def dijkstra(
     replaces the arc weights (default instance.weights); it must be
     non-negative.
 
-    Given targets, the search stops once every target is settled, and
-    once every target has a tentative distance it queues no relaxation
-    longer than the largest of them (for one target, longer than its
-    distance).  With D the largest target distance, every vertex whose
-    returned dist is at most D, each target among them, carries the dist
-    and pred of the full search, ties included: equal distances are
-    settled in vertex-id order, a vertex keeps the first predecessor that
-    reaches its distance, and a relaxation longer than D can neither
-    reach nor outrank them.  Entries above D may be provisional.
+    Given targets, the search stops once every target is settled.  With
+    D the largest target distance, every vertex whose returned dist is at
+    most D, each target among them, carries the dist and pred of the full
+    search, ties included: the pops up to the last target are the full
+    search's, since equal distances are settled in vertex-id order and a
+    vertex keeps the first predecessor that reaches its distance.
+    Entries above D may be provisional.
     """
     n = instance.vertex_count
     if weights is None:
@@ -150,8 +148,6 @@ def dijkstra(
     else:
         neighbours, ends = instance.outgoing, instance.heads
     waiting = set(targets)  # the targets not yet settled
-    unreached = len(waiting) - (origin in waiting)  # targets at +infinity
-    bound = 0 if waiting and not unreached else INFINITY
     while heap:
         d, u = heapq.heappop(heap)
         if d > dist[u]:
@@ -163,22 +159,7 @@ def dijkstra(
         for a in neighbours[u]:
             v = ends[a]
             nd = d + weights[a]
-            if nd < dist[v]:
-                # A targeted search tests its bound before the bans, which
-                # spares most pruned arcs the lookups, and tracks its
-                # targets; an untargeted one (B&B's rounds) pays for neither.
-                if waiting:
-                    if nd > bound or v in banned_vertices or a in banned_arcs:
-                        continue
-                    if v in waiting:
-                        held = dist[v]
-                        dist[v] = nd
-                        unreached -= held == INFINITY
-                        if not unreached and held >= bound:
-                            # v had no distance or held the bound.
-                            bound = max(dist[t] for t in waiting)
-                elif v in banned_vertices or a in banned_arcs:
-                    continue
+            if nd < dist[v] and v not in banned_vertices and a not in banned_arcs:
                 dist[v] = nd
                 pred[v] = a
                 heapq.heappush(heap, (nd, v))
@@ -659,9 +640,10 @@ def _detours(
     tree under p[: i + 1], the masked search for j under (p[: i + 1],
     p[j:]).  A descent step leaves the prefix before its move alone, and
     a restart meets paths seen before, so a tree is searched again only
-    when a later path needs a vertex that it did not settle, and the
-    final predecessors of both searches are kept; the routes, and so the
-    yields, are the same as without the memo.
+    when a later path needs a vertex beyond its farthest target.  The new
+    search, with the same origin and bans, has a strictly farther target,
+    so it settles every vertex the kept one did and replaces it; the
+    routes, and so the yields, are the same as without the memo.
     """
     tails = instance.tails
     origin = p[i]
@@ -686,10 +668,7 @@ def _detours(
 
     pred = memo.get(root)
     if pred is None or any(pred[v] is None for v in p[i + 1:]):
-        fresh = _settled_tree(instance, origin, p[i + 1:], set(p[:i]))
-        pred = memo[root] = fresh if pred is None else [
-            b if a is None else a for a, b in zip(pred, fresh)
-        ]
+        pred = memo[root] = _settled_tree(instance, origin, p[i + 1:], set(p[:i]))
     routes: list[Optional[list[int]]] = [None] * len(p)
     failing = []
     along = True  # the tree route to p[j] is p[i..j]

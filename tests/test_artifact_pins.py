@@ -17,7 +17,10 @@ generators and ``cli.main`` and compares its digest with
 * ``branch_and_bound`` on the 48 ``exact`` and 16 ``sweep`` pool instances
   of perfbench (status, LB, UB, nodes, the root bound and the incumbent's
   vertices) and ``brute_force`` on the ``sweep`` ones (UB, path count and
-  vertices).
+  vertices);
+* ``local_search`` on the 28 ``heuristic`` pool instances of perfbench
+  (UB, nodes, the incumbent's vertices and the number of ``dijkstra``
+  calls, so that a memo that stops saving searches shows).
 
 A change that alters an artifact on purpose refreshes the manifest with
 ``PYTHONPATH=src python tests/test_artifact_pins.py`` and states the
@@ -41,8 +44,9 @@ from spedac import (
     render_instance,
     save_instance,
 )
+from spedac import solvers
 from spedac.cli import main
-from spedac.solvers import _root, _Run, branch_and_bound, brute_force
+from spedac.solvers import _root, _Run, branch_and_bound, brute_force, local_search
 
 MANIFEST = Path(__file__).resolve().parent / "artifact_pins.json"
 
@@ -61,7 +65,7 @@ LARGE = {
     "random_n1000_s639207": RandomConfig(n=1000, d=0.004, r=1e-4, seed=639207),
 }
 RENDERED = ("random_n500_s585647", "smallworld_n600_s505815")
-# perfbench's exact and sweep pools (perfbench/pools.json), copied so
+# perfbench's exact, sweep and heuristic pools (perfbench/pools.json), copied so
 # that no benchmark file is read: each slot's config and its seeds.
 EXACT_POOL = [
     (RandomConfig(n=30, d=0.15, r=0.001), (1001, 1038, 1042, 1043, 1051, 1089, 1172, 1242)),
@@ -74,6 +78,13 @@ EXACT_POOL = [
 SWEEP_POOL = [
     (RandomConfig(n=14, d=0.3, r=0.02), (1002, 1008, 1027, 1028, 1040, 1059, 1065, 1068)),
     (SmallWorldConfig(n=16, k=0.25, r=0.02), (1015, 1024, 1031, 1032, 1034, 1055, 1069, 1070)),
+]
+HEURISTIC_POOL = [
+    (RandomConfig(n=100, d=0.1, r=0.001), (1007, 1008, 1011, 1013, 1017, 1035)),
+    (RandomConfig(n=200, d=0.05, r=0.0001), (1007, 1013, 1015, 1017, 1028, 1032)),
+    (SmallWorldConfig(n=100, k=0.1, r=0.001), (1005, 1012, 1019, 1021, 1022, 1031, 1035, 1038)),
+    (SmallWorldConfig(n=120, k=0.04, beta=0.0, r=0.001),
+     (1001, 1008, 1016, 1026, 1031, 1033, 1037, 1038)),
 ]
 
 
@@ -115,6 +126,33 @@ def pool_solves() -> str:
     return "\n".join(lines) + "\n"
 
 
+def heuristic_pool_solves() -> str:
+    """One line per ``local_search`` of the heuristic pool instances,
+    with the number of ``solvers.dijkstra`` calls the solve made."""
+    search = solvers.dijkstra
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return search(*args, **kwargs)
+
+    lines = []
+    solvers.dijkstra = counted
+    try:
+        for slot, seeds in HEURISTIC_POOL:
+            for seed in seeds:
+                config = dataclasses.replace(slot, seed=seed)
+                instance = _generate(config)
+                calls = 0
+                report = local_search(instance)
+                lines.append(f"heur {config} {report.upper_bound} {report.nodes_explored}"
+                             f" {report.incumbent.vertices} {calls}")
+    finally:
+        solvers.dijkstra = search
+    return "\n".join(lines) + "\n"
+
+
 def pinned_artifacts(golden) -> dict[str, str]:
     """sha256 of every pinned artifact, built in the current directory."""
     artifacts: dict[str, str] = {}
@@ -141,6 +179,7 @@ def pinned_artifacts(golden) -> dict[str, str]:
          "--out", "bench.csv")
     artifacts["bench/pipeline_sweep_seed0.csv"] = Path("bench.csv").read_text(encoding="ascii")
     artifacts["solve/pools"] = pool_solves()
+    artifacts["solve/heuristic_pool"] = heuristic_pool_solves()
     return {
         label: hashlib.sha256(text.encode("ascii")).hexdigest()
         for label, text in sorted(artifacts.items())

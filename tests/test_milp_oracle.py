@@ -1,13 +1,15 @@
 """Branch-and-bound against an independent MILP oracle on mid-size instances.
 
 The oracle is scipy's HiGHS (``scipy.optimize.milp``) solving the model
-written by ``export_flow_model``.  It is test-only: the module is skipped
-when scipy is not installed.
+written by ``export_flow_model``, through ``highs_oracle`` of
+``perfbench/oracle.py``, the one HiGHS adaptor, loaded by its path.  It
+is test-only: the module is skipped when scipy is not installed.
 """
 
 from __future__ import annotations
 
-import math
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -23,35 +25,13 @@ from spedac import (
 
 pytest.importorskip("scipy")
 import numpy as np  # noqa: E402  (scipy brings numpy)
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp  # noqa: E402
-from scipy.sparse import coo_matrix  # noqa: E402
+from scipy.optimize import linprog  # noqa: E402
 
-
-def milp_optimum(model) -> float:
-    """Optimal objective of an exported model, solved by HiGHS."""
-    index = {var.name: i for i, var in enumerate(model.variables)}
-    cost = np.zeros(len(index))
-    for coeff, name in model.objective_terms:
-        cost[index[name]] += coeff
-    rows, cols, values, lower, upper = [], [], [], [], []
-    for r, row in enumerate(model.rows):
-        for coeff, name in row.terms:
-            rows.append(r)
-            cols.append(index[name])
-            values.append(coeff)
-        lower.append(row.rhs if row.sense in (">=", "=") else -math.inf)
-        upper.append(row.rhs if row.sense in ("<=", "=") else math.inf)
-    matrix = coo_matrix((values, (rows, cols)), shape=(len(model.rows), len(index)))
-    result = milp(
-        cost,
-        constraints=LinearConstraint(matrix.tocsr(), lower, upper),
-        integrality=[1 if var.kind == "binary" else 0 for var in model.variables],
-        bounds=Bounds([var.lower for var in model.variables],
-                      [var.upper for var in model.variables]),
-        options={"time_limit": 60.0},
-    )
-    assert result.status == 0, result.message
-    return result.fun
+_ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+_spec = importlib.util.spec_from_file_location("perfbench_oracle", _ORACLE)
+_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_oracle)
+highs_optimum = _oracle.highs_oracle()
 
 
 _MID_SIZE = [
@@ -70,7 +50,8 @@ _MID_SIZE = [
 def test_branch_and_bound_brackets_the_milp_optimum(config):
     generate = generate_random if isinstance(config, RandomConfig) else generate_small_world
     instance = generate(config)
-    optimum = milp_optimum(export_flow_model(instance))
+    optimum = highs_optimum(export_flow_model(instance))
+    assert optimum is not None
     assert optimum == round(optimum)
     # A full solve certifies the optimum; a solve cut at once must still
     # bracket it, and must not claim optimality unless it found it.

@@ -189,6 +189,25 @@ def test_dijkstra_bans_and_target_match_a_pruned_instance():
                 assert _route(instance, *many, origin, t) == _route(
                     pruned, full_dist, full_pred, origin, t
                 )
+            # The same holds with the origin among the targets, and with a
+            # target whose in-arcs are all banned, which stays at infinity.
+            lost = rng.choice([v for v in others if v not in targets + list(banned_vertices)])
+            cut = banned_arcs | set(instance.incoming[lost])
+            cut_pruned = _without(instance, origin, target, banned_vertices, cut)
+            for more, arcs, full in (([origin], banned_arcs, pruned),
+                                     ([origin, lost], cut, cut_pruned)):
+                extra = dijkstra(
+                    instance,
+                    origin=origin,
+                    targets=more + targets,
+                    banned_vertices=banned_vertices,
+                    banned_arcs=arcs,
+                )
+                farthest = max(extra[0][t] for t in more + targets)
+                assert _arc_pairs(instance, *extra, farthest).items() <= _arc_pairs(
+                    full, *dijkstra(full), farthest
+                ).items()
+            assert extra[0][lost] == INFINITY
             checked += dist[target] != INFINITY
     assert checked > 20  # most draws leave the target reachable
 
