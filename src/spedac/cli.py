@@ -17,6 +17,7 @@ search ran past the interpreter's recursion limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Optional
@@ -67,6 +68,7 @@ def _workers(text: str) -> int:
     raise argparse.ArgumentTypeError(f"workers must be a whole number of at least 1, got {text!r}")
 
 
+@functools.cache  # built once per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spedac",

@@ -99,27 +99,33 @@ class Instance:
                 raise InvariantError(f"{name} {v} out of range for {n} vertices")
         if self.source == self.sink:
             raise InvariantError("source and sink must differ")
-        seen_arcs: set[tuple[int, int]] = set()
-        for idx, arc in enumerate(self.arcs):
-            if not (0 <= arc.tail < n and 0 <= arc.head < n):
-                raise InvariantError(
-                    f"arc {idx}: endpoint out of range ({arc.tail}, {arc.head})"
-                )
-            key = (arc.tail, arc.head)
-            if key in seen_arcs:
-                raise InvariantError(f"duplicate arc ({arc.tail}, {arc.head})")
-            seen_arcs.add(key)
-        m = len(self.arcs)
-        seen_pairs: set[tuple[int, int]] = set()
-        for idx, conflict in enumerate(self.conflicts):
-            for a in (conflict.arc_a, conflict.arc_b):
-                if not 0 <= a < m:
+        # A table is walked in index order to name its first offender only if it fails in bulk.
+        m, tails, heads = len(self.arcs), [a.tail for a in self.arcs], [a.head for a in self.arcs]
+        ends = tails + heads
+        if ends and not 0 <= min(ends) <= max(ends) < n or len(set(zip(tails, heads))) < m:
+            seen_arcs: set[tuple[int, int]] = set()
+            for idx, arc in enumerate(self.arcs):
+                if not (0 <= arc.tail < n and 0 <= arc.head < n):
                     raise InvariantError(
-                        f"conflict {idx}: arc index out of range ({a} not in 0..{m - 1})"
+                        f"arc {idx}: endpoint out of range ({arc.tail}, {arc.head})"
                     )
-            if conflict.pair in seen_pairs:
-                raise InvariantError(f"duplicate conflict pair {conflict.pair}")
-            seen_pairs.add(conflict.pair)
+                key = (arc.tail, arc.head)
+                if key in seen_arcs:
+                    raise InvariantError(f"duplicate arc ({arc.tail}, {arc.head})")
+                seen_arcs.add(key)
+        ends = [c.arc_a for c in self.conflicts] + [c.arc_b for c in self.conflicts]
+        pairs = {c.pair for c in self.conflicts}
+        if ends and not 0 <= min(ends) <= max(ends) < m or len(pairs) < len(self.conflicts):
+            seen_pairs: set[tuple[int, int]] = set()
+            for idx, conflict in enumerate(self.conflicts):
+                for a in (conflict.arc_a, conflict.arc_b):
+                    if not 0 <= a < m:
+                        raise InvariantError(
+                            f"conflict {idx}: arc index out of range ({a} not in 0..{m - 1})"
+                        )
+                if conflict.pair in seen_pairs:
+                    raise InvariantError(f"duplicate conflict pair {conflict.pair}")
+                seen_pairs.add(conflict.pair)
 
     @cached_property
     def arc_index(self) -> dict[tuple[int, int], int]:

@@ -16,6 +16,7 @@ violated rule.
 from __future__ import annotations
 
 import re
+from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import Callable
 
@@ -62,8 +63,9 @@ def parse_instance(text: str) -> Instance:
 
     An integer field is an optional '-' and ASCII digits.  Only a text
     holding a character that int() takes beyond that ('+', '_' or a
-    non-ASCII digit) has its fields matched one by one, so canonical
-    files pay three scans of the text, not a match per field.
+    non-ASCII digit) has its fields matched one by one.  The body is
+    read in bulk, and again line by line only if that fails, so that the
+    first bad line or record raises its own error.
     """
     canonical = text.isascii() and "_" not in text and "+" not in text
     to_int = int if canonical else _canonical_int
@@ -85,19 +87,22 @@ def parse_instance(text: str) -> Instance:
     if len(body) > m + c:
         raise ParseError(3 + m + c, f"unexpected extra line after {m} arc lines"
                                     f" and {c} conflict lines")
-    arcs = []
-    for i in range(m):
-        tail, head, weight = _ints(3 + i, lines[2 + i], 3, "arc 'tail head weight'", to_int)
-        arcs.append(ArcRecord(tail, head, weight))
-    conflicts = []
-    for i in range(c):
-        a, b, penalty = _ints(
-            3 + m + i, lines[2 + m + i], 3, "conflict 'arcA arcB penalty'", to_int
-        )
-        conflicts.append(ConflictRecord(a, b, penalty))
-    return Instance(
-        vertex_count=n, arcs=tuple(arcs), conflicts=tuple(conflicts), source=s, sink=t
-    )
+    try:
+        if set(map(len, map(str.split, body))) - {3}:
+            raise ValueError
+        fields = map(to_int, chain.from_iterable(map(str.split, body)))
+        triples = zip(fields, fields, fields)
+        arcs = tuple(starmap(ArcRecord, islice(triples, m)))
+        conflicts = tuple(starmap(ConflictRecord, triples))
+    except ValueError:
+        arcs = conflicts = None
+    if arcs is None:
+        for i, line in enumerate(body):
+            if i < m:
+                ArcRecord(*_ints(3 + i, line, 3, "arc 'tail head weight'", to_int))
+            else:
+                ConflictRecord(*_ints(3 + i, line, 3, "conflict 'arcA arcB penalty'", to_int))
+    return Instance(vertex_count=n, arcs=arcs, conflicts=conflicts, source=s, sink=t)
 
 
 def render_instance(instance: Instance) -> str:

@@ -16,10 +16,11 @@ The exported model is the standard linearisation of the problem:
   simply forces off) so that every integer-feasible point decodes to
   exactly one simple source-sink path.
 
-The catalog records (VariableDef, ConstraintRow) are named tuples.  The
-builder makes each variable name once per arc, vertex or conflict, and
-each +-1 term tuple once per arc and per vertex; every row that mentions
-a variable shares those objects.
+The catalog records (VariableDef, ConstraintRow) are named tuples, which
+the builder makes with tuple.__new__ rather than through their
+Python-level __new__.  It makes each variable name once per arc, vertex
+or conflict, and each +-1 term tuple once per arc and per vertex; every
+row that mentions a variable shares those objects.
 
 verify_model_at_point evaluates rows and objective exactly, so model files
 can be cross-checked against solver output without tolerance questions:
@@ -35,6 +36,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from . import __version__
@@ -94,8 +96,8 @@ class ExportedModel:
                 out.append(f" {lower} <= {name} <= {upper}")
         out.append("Binaries")
         out.extend([f" {name}" for name, kind, _, _ in self.variables if kind == "binary"])
-        out.append("End")
-        return "\n".join(out) + "\n"
+        out += ("End", "")  # "" gives the final newline without a copy of the text
+        return "\n".join(out)
 
 
 def _wrap_terms(terms: Sequence[tuple[int, str]]) -> str:
@@ -132,11 +134,11 @@ def export_flow_model(instance: Instance) -> ExportedModel:
     plus_u = [(1, u) for u in u_name]
     minus_u = [(-1, u) for u in u_name]
 
+    var = partial(tuple.__new__, VariableDef)
     variables: list[VariableDef] = [VariableDef(CONSTANT_VAR, "continuous", 1, 1)]
-    variables.extend([VariableDef(name, "binary", 0, 1) for name in x_name])
-    variables.extend([VariableDef(name, "binary", 0, 1) for name in y_name])
+    variables.extend([var((name, "binary", 0, 1)) for name in (*x_name, *y_name)])
     variables.extend([
-        VariableDef(u, "continuous", 0, 0 if v == instance.source else n - 1)
+        var((u, "continuous", 0, 0 if v == instance.source else n - 1))
         for v, u in enumerate(u_name)
     ])
 
@@ -156,19 +158,20 @@ def export_flow_model(instance: Instance) -> ExportedModel:
     rhs = [0] * n
     rhs[instance.source] = 1
     rhs[instance.sink] = -1
+    row = partial(tuple.__new__, ConstraintRow)
     rows: list[ConstraintRow] = []
     for v, out, into in zip(range(n), instance.outgoing, instance.incoming):
         terms = (*map(plus_x.__getitem__, out), *map(minus_x.__getitem__, into))
-        rows.append(ConstraintRow(f"flow_{v}", terms, "=", rhs[v]))
+        rows.append(row((f"flow_{v}", terms, "=", rhs[v])))
     for k, c in enumerate(conflicts):
         y = (1, y_name[k])
         a, b = minus_x[c.arc_a], minus_x[c.arc_b]
-        rows.append(ConstraintRow(f"penalty_lb_{k}", (y, a, b), ">=", -1))
-        rows.append(ConstraintRow(f"penalty_ub_a_{k}", (y, a), "<=", 0))
-        rows.append(ConstraintRow(f"penalty_ub_b_{k}", (y, b), "<=", 0))
+        rows.append(row((f"penalty_lb_{k}", (y, a, b), ">=", -1)))
+        rows.append(row((f"penalty_ub_a_{k}", (y, a), "<=", 0)))
+        rows.append(row((f"penalty_ub_b_{k}", (y, b), "<=", 0)))
     # u_head - u_tail - n*x >= 1 - n  <=>  u_head >= u_tail + 1 - n(1-x)
     rows.extend([
-        ConstraintRow("mtz" + x[1:], (plus_u[a.head], minus_u[a.tail], (-n, x)), ">=", 1 - n)
+        row(("mtz" + x[1:], (plus_u[a.head], minus_u[a.tail], (-n, x)), ">=", 1 - n))
         for a, x in zip(arcs, x_name)
     ])
 
@@ -211,16 +214,20 @@ def verify_model_at_point(
                 ) from exc
         exact.append(value)
     scale = math.lcm(*[value.denominator for value in exact])
-    values: dict[str, int] = {}
+    values: dict[str, Number] = {}
     violated: list[str] = []
     for (name, kind, lower, upper), value in zip(model.variables, exact):
-        scaled = values[name] = value.numerator * (scale // value.denominator)
+        scaled = values[name] = (
+            value if scale == 1 else value.numerator * (scale // value.denominator)
+        )
         if not lower * scale <= scaled <= upper * scale or (
             kind == "binary" and scaled != 0 and scaled != scale
         ):
             violated.append(f"bound_{name}")
     for name, terms, sense, rhs in model.rows:
-        lhs = sum([coeff * values[x] for coeff, x in terms])
+        lhs = 0
+        for coeff, x in terms:
+            lhs += coeff * values[x]
         rhs *= scale
         ok = (
             lhs <= rhs if sense == "<="
@@ -244,8 +251,8 @@ def induced_assignment(instance: Instance, solution: PathSolution) -> dict[str, 
     for idx in solution.arc_indices:
         flags[idx] = 1
     values: dict[str, int] = {CONSTANT_VAR: 1}
-    for arc, x in zip(instance.arcs, flags):
-        values[f"x_{arc.tail}_{arc.head}"] = x
+    for tail, head, x in zip(instance.tails, instance.heads, flags):
+        values[f"x_{tail}_{head}"] = x
     for k, c in enumerate(instance.conflicts):
         values[f"y_{k}"] = flags[c.arc_a] * flags[c.arc_b]
     position = {v: i for i, v in enumerate(solution.vertices)}

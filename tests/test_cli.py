@@ -364,6 +364,26 @@ def test_validate_structural_error_exits_2(tmp_path, capsys, golden):
     assert "duplicate arc" in capsys.readouterr().err
 
 
+def test_repeated_main_calls_share_no_parsed_state(tmp_path, capsys, golden):
+    bench_dir = tmp_path / "set"
+    bench_dir.mkdir()
+    save_instance(golden, bench_dir / "random_n7_d0.29_r0.045_p10-10_s0.spedac")
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["bench", str(bench_dir), "--method", "heur", "--no-timing",
+                 "--out", str(a)]) == 0
+    assert main(["bench", str(bench_dir), "--no-timing", "--out", str(b)]) == 0
+    for path, method in ((a, "heur"), (b, "bb")):
+        text = path.read_text(encoding="ascii")
+        rows = list(csv.DictReader(io.StringIO(text.split("\n", 1)[1])))
+        assert {row["method"] for row in rows} == {method}
+    with pytest.raises(SystemExit) as exc:
+        main(["solve"])  # missing the instance argument
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["validate", str(_golden_file(tmp_path, golden))]) == 0
+    assert capsys.readouterr().out == "ok: 7 vertices, 12 arcs, 3 conflicts, source 0, sink 6\n"
+
+
 # --- process-level behavior -----------------------------------------------
 
 def test_version_flag():

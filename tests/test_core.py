@@ -363,6 +363,34 @@ def test_instance_rejects_bad_conflicts():
         )
 
 
+def test_instance_reports_the_first_bad_record_in_index_order():
+    def build(arcs, conflicts=()):
+        return Instance(3, tuple(ArcRecord(*a, 1) for a in arcs),
+                        tuple(ConflictRecord(*c, 1) for c in conflicts), 0, 2)
+
+    with pytest.raises(InvariantError, match=r"^duplicate arc \(0, 1\)$"):
+        build([(0, 1), (0, 1), (1, 2), (1, 9)])
+    with pytest.raises(InvariantError, match=r"^arc 0: endpoint out of range \(1, 9\)$"):
+        build([(1, 9), (1, 2), (0, 1), (0, 1)])
+    with pytest.raises(InvariantError, match=r"^arc 1: endpoint out of range \(-1, 2\)$"):
+        build([(0, 1), (-1, 2), (1, 0), (1, 0)])
+    # Arcs are checked before conflicts.
+    with pytest.raises(InvariantError, match=r"^duplicate arc \(1, 2\)$"):
+        build([(0, 1), (1, 2), (1, 2)], [(0, 7)])
+    arcs = [(0, 1), (1, 2)]
+    with pytest.raises(InvariantError, match=r"^duplicate conflict pair \(0, 1\)$"):
+        build(arcs, [(0, 1), (1, 0), (0, 5)])
+    with pytest.raises(InvariantError,
+                       match=r"^conflict 0: arc index out of range \(5 not in 0\.\.1\)$"):
+        build(arcs, [(0, 5), (0, 1), (1, 0)])
+    with pytest.raises(InvariantError,
+                       match=r"^conflict 1: arc index out of range \(7 not in 0\.\.1\)$"):
+        build(arcs, [(1, 0), (7, -2)])
+    with pytest.raises(InvariantError,
+                       match=r"^conflict 0: arc index out of range \(-1 not in 0\.\.1\)$"):
+        build(arcs, [(1, -1)])
+
+
 def test_core_types_are_immutable(golden):
     with pytest.raises(dataclasses.FrozenInstanceError):
         golden.source = 3

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from spedac import (
@@ -80,6 +82,78 @@ def test_parse_errors_carry_line_numbers(golden):
     broken[14] = "0 nine 10"
     with pytest.raises(ParseError, match="line 15: expected integer"):
         parse_instance("\n".join(broken) + "\n")
+
+
+def _parse_lines(lines):
+    return parse_instance("\n".join(lines) + "\n")
+
+
+def test_parse_errors_name_the_first_bad_line(golden):
+    # Body lines are checked in file order, each for its field count first
+    # and then for its integers; the first line that fails is named.
+    lines = render_instance(golden).splitlines()
+    broken = lines[:]
+    broken[4], broken[5] = "1 3", "1 4 2 9"
+    with pytest.raises(ParseError, match=r"^line 5: expected 3 fields for arc"
+                                         r" 'tail head weight', got 2$"):
+        _parse_lines(broken)
+    broken = lines[:]
+    broken[4], broken[6] = "1 3", "2 x 1"
+    with pytest.raises(ParseError, match="^line 5: expected 3 fields"):
+        _parse_lines(broken)
+    broken = lines[:]
+    broken[4], broken[6] = "1 x 2", "2 1"
+    with pytest.raises(ParseError, match="^line 5: expected integer, got 'x'$"):
+        _parse_lines(broken)
+    broken = lines[:]
+    broken[4] = "1 x"
+    with pytest.raises(ParseError, match="^line 5: expected 3 fields"):
+        _parse_lines(broken)
+    # A conflict line gets its own number, also behind a later bad line.
+    broken = lines[:]
+    broken[15], broken[16] = "2 6 1o", "3 10"
+    with pytest.raises(ParseError, match="^line 16: expected integer, got '1o'$"):
+        _parse_lines(broken)
+    broken = lines[:]
+    broken[16] = "3 +10 10"
+    with pytest.raises(ParseError, match="^line 17: expected integer, got '\\+10'$"):
+        _parse_lines(broken)
+
+
+def test_record_invariants_keep_their_place_among_parse_errors(golden):
+    # An arc or conflict record is checked as its line is read, so a bad
+    # record before a bad line wins; whole-instance rules come last.
+    lines = render_instance(golden).splitlines()
+    broken = lines[:]
+    broken[2], broken[3] = "0 0 3", "0 x 1"
+    with pytest.raises(InvariantError, match="self-loop arc"):
+        _parse_lines(broken)
+    broken = lines[:]
+    broken[13], broken[14] = "5 6 -3", "0 x 10"
+    with pytest.raises(InvariantError, match="weight must be a non-negative"):
+        _parse_lines(broken)
+    broken = lines[:]
+    broken[14], broken[15] = "9 9 10", "2 6"
+    with pytest.raises(InvariantError, match="pairs arc 9 with itself"):
+        _parse_lines(broken)
+    broken = lines[:]
+    broken[3], broken[15] = "0 1 3", "2 6"
+    with pytest.raises(ParseError, match="^line 16: expected 3 fields"):
+        _parse_lines(broken)
+
+
+def test_parse_peak_memory_stays_near_what_the_instance_keeps():
+    # The parse may hold transient data, but not several times the size
+    # of the instance it returns.
+    text = render_instance(generate_random(RandomConfig(n=1000, d=0.004, r=1e-4)))
+    tracemalloc.start()
+    try:
+        instance = parse_instance(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(instance.arcs) > 3000
+    assert peak <= 2.5 * kept, f"parse peak {peak} B for {kept} B kept"
 
 
 def test_parse_errors_on_truncated_and_padded_bodies(golden):
