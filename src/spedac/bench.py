@@ -39,6 +39,7 @@ CSV_SCHEMA_COMMENT = "# spedac bench csv v1"
 CSV_COLUMNS = ["set", "method", "instance", "status", "LB", "UB", "Sec best", "Sec tot", "Opt gap %"]
 METHODS = ("bb", "heur", "brute")
 SUFFIX = ".spedac"
+DEFAULT_TIME_LIMIT = 1800.0  # seconds per solve in `solve` and `bench`
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,24 @@ def solve_with_method(
     raise ValueError(f"unknown method {method!r}; pick one of {', '.join(METHODS)}")
 
 
+def report_cells(report: SolveReport, timing: bool = True) -> tuple:
+    """A report's LB, UB, seconds to best, seconds in total and gap %.
+
+    These are the values `solve` prints and a bench row holds.  None
+    stands for the +infinity sentinel and for an undefined gap; seconds
+    are rounded to 1 ms, and are 0.0 without timing; the gap is rounded
+    to five decimals.
+    """
+    try:
+        gap = round(optimality_gap(report.lower_bound, report.upper_bound), 5)
+    except GapUndefinedError:
+        gap = None
+    seconds = (report.seconds_to_best, report.seconds_total) if timing else (0.0, 0.0)
+    return (None if report.lower_bound == INFINITY else report.lower_bound,
+            None if report.upper_bound == INFINITY else report.upper_bound,
+            *(round(s, 3) for s in seconds), gap)
+
+
 def _task_row(
     set_label: str, method: str, name: str, status: str, meta: Optional[BenchName],
     values: Sequence = (None,) * 5,
@@ -148,15 +167,8 @@ def _solve_task(args: tuple[str, str, Optional[float], bool]) -> dict:
     except RecursionError as exc:
         # branch_and_bound recurses once per path vertex.
         return _task_row(set_label, method, path.name, f"RecursionError: {exc}", meta)
-    lb = None if report.lower_bound == INFINITY else report.lower_bound
-    ub = None if report.upper_bound == INFINITY else report.upper_bound
-    try:
-        gap = round(optimality_gap(report.lower_bound, report.upper_bound), 5)
-    except GapUndefinedError:
-        gap = None
-    seconds = (report.seconds_to_best, report.seconds_total) if timing else (0.0, 0.0)
     return _task_row(set_label, method, path.name, report.status.value, meta,
-                     (lb, ub, *(round(s, 3) for s in seconds), gap))
+                     report_cells(report, timing))
 
 
 def _row_sort_key(row: dict):
@@ -215,7 +227,7 @@ def _mean_rows(rows: Sequence[dict]) -> list[dict]:
 def run_bench(
     directory: str | Path,
     methods: Sequence[str] = ("bb",),
-    time_limit: Optional[float] = 1800.0,
+    time_limit: Optional[float] = DEFAULT_TIME_LIMIT,
     timing: bool = True,
     workers: int = 1,
 ) -> list[dict]:

@@ -24,8 +24,10 @@ from typing import Optional
 
 from . import __version__
 from .bench import (
+    DEFAULT_TIME_LIMIT,
     METHODS,
     bench_filename,
+    report_cells,
     run_bench,
     solve_with_method,
     write_bench_csv,
@@ -39,18 +41,9 @@ from .generators import (
     generate_small_world,
     parse_profile,
 )
-from .instance_io import ParseError, load_instance, save_instance
+from .instance_io import load_instance, save_instance
 from .model_export import export_flow_model
-from .solvers import (
-    INFINITY,
-    GapUndefinedError,
-    GuardExceededError,
-    SolveStatus,
-    check_time_limit,
-    optimality_gap,
-)
-
-DEFAULT_TIME_LIMIT = 1800.0
+from .solvers import GuardExceededError, SolveStatus, check_time_limit
 
 
 def _time_limit(text: str) -> float:
@@ -107,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", type=Path)
     p.add_argument("--method", choices=METHODS, default="bb")
     p.add_argument("--time-limit", type=_time_limit, default=DEFAULT_TIME_LIMIT,
-                   help="seconds (default 1800)")
+                   help=f"seconds (default {DEFAULT_TIME_LIMIT:g})")
     p.add_argument("--seed", type=int, default=0, help="heuristic seed")
     p.add_argument("--no-timing", action="store_true",
                    help="report all seconds fields as 0.000 (reproducible output)")
@@ -171,28 +164,19 @@ def _cmd_generate(args: argparse.Namespace, family: str) -> int:
     return 0
 
 
-def _fmt_bound(value: float) -> str:
-    return "inf" if value == INFINITY else str(value)
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     report = solve_with_method(
         instance, args.method, time_limit=args.time_limit, seed=args.seed
     )
-    try:
-        gap = f"{optimality_gap(report.lower_bound, report.upper_bound):.5f}"
-    except GapUndefinedError:
-        gap = "undefined"
-    sec_best = 0.0 if args.no_timing else report.seconds_to_best
-    sec_tot = 0.0 if args.no_timing else report.seconds_total
+    lb, ub, sec_best, sec_tot, gap = report_cells(report, timing=not args.no_timing)
     lines = [
         f"instance: {args.instance}",
         f"method: {args.method}",
         f"status: {report.status.value}",
-        f"lb: {_fmt_bound(report.lower_bound)}",
-        f"ub: {_fmt_bound(report.upper_bound)}",
-        f"gap_pct: {gap}",
+        f"lb: {'inf' if lb is None else lb}",
+        f"ub: {'inf' if ub is None else ub}",
+        f"gap_pct: {'undefined' if gap is None else f'{gap:.5f}'}",
     ]
     if report.incumbent is not None:
         sol = report.incumbent
@@ -266,7 +250,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, InvariantError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GuardExceededError, UnsatisfiableConfigError) as exc:

@@ -66,12 +66,7 @@ class RandomConfig:
             raise InvariantError(f"n must be at least 2, got {self.n}")
         if not 0 < self.d <= 1:
             raise InvariantError(f"density d must be in (0, 1], got {self.d}")
-        if not 0 <= self.r < math.inf:
-            raise InvariantError(
-                f"conflict ratio r must be finite and non-negative, got {self.r}"
-            )
-        _check_range("penalty_range", self.penalty_range, minimum=1)
-        _check_range("weight_range", self.weight_range, minimum=0)
+        _check_ratio_and_ranges(self)
         if arc_count(self.n, self.d) < 1:
             raise InvariantError(
                 f"d={self.d} yields no arcs for n={self.n}"
@@ -95,12 +90,7 @@ class SmallWorldConfig:
             raise InvariantError(f"n must be at least 3, got {self.n}")
         if not 0 <= self.beta <= 1:
             raise InvariantError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0 <= self.r < math.inf:
-            raise InvariantError(
-                f"conflict ratio r must be finite and non-negative, got {self.r}"
-            )
-        _check_range("penalty_range", self.penalty_range, minimum=1)
-        _check_range("weight_range", self.weight_range, minimum=0)
+        _check_ratio_and_ranges(self)
         if not math.isfinite(self.k):
             raise InvariantError(f"k must be finite, got {self.k}")
         degree = ring_degree(self.n, self.k)
@@ -114,14 +104,16 @@ class SmallWorldConfig:
             )
 
 
-def _check_range(name: str, bounds: tuple[int, int], minimum: int) -> None:
-    lo, hi = bounds
-    if not (isinstance(lo, int) and isinstance(hi, int)):
-        raise InvariantError(f"{name} must be a pair of integers, got {bounds!r}")
-    if lo < minimum or hi < lo:
-        raise InvariantError(
-            f"{name} must satisfy {minimum} <= lo <= hi, got {bounds!r}"
-        )
+def _check_ratio_and_ranges(config: RandomConfig | SmallWorldConfig) -> None:
+    # The checks both families share: r, then the penalty and weight ranges.
+    if not 0 <= config.r < math.inf:
+        raise InvariantError(f"conflict ratio r must be finite and non-negative, got {config.r}")
+    for name, minimum in (("penalty_range", 1), ("weight_range", 0)):
+        lo, hi = bounds = getattr(config, name)
+        if not (isinstance(lo, int) and isinstance(hi, int)):
+            raise InvariantError(f"{name} must be a pair of integers, got {bounds!r}")
+        if lo < minimum or hi < lo:
+            raise InvariantError(f"{name} must satisfy {minimum} <= lo <= hi, got {bounds!r}")
 
 
 def _stream(seed: int, label: str, attempt: int | None = None) -> random.Random:

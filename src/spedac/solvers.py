@@ -74,23 +74,31 @@ def check_time_limit(time_limit: Optional[float]) -> Optional[float]:
 class _Run:
     """One solve's clock, deadline and incumbent; builds its SolveReport."""
 
-    __slots__ = ("start", "deadline", "best", "best_at")
+    __slots__ = ("start", "deadline", "best", "best_at", "on_incumbent")
 
-    def __init__(self, time_limit: Optional[float]) -> None:
+    def __init__(
+        self, time_limit: Optional[float],
+        on_incumbent: Optional[Callable[[PathSolution], None]] = None,
+    ) -> None:
         check_time_limit(time_limit)
         self.start = time.perf_counter()
         self.deadline = None if time_limit is None else self.start + time_limit
         self.best: Optional[PathSolution] = None
         self.best_at = 0.0
+        self.on_incumbent = on_incumbent
 
     def expired(self) -> bool:
         return self.deadline is not None and time.perf_counter() > self.deadline
 
-    def offer(self, sol: PathSolution) -> None:
-        # Keeps sol when it strictly improves the incumbent.
+    def offer(self, sol: PathSolution) -> float:
+        # Keeps sol when it strictly improves the incumbent, and hands it to
+        # on_incumbent; returns the incumbent's objective.
         if self.best is None or sol.objective < self.best.objective:
             self.best = sol
             self.best_at = time.perf_counter() - self.start
+            if self.on_incumbent is not None:
+                self.on_incumbent(sol)
+        return self.best.objective
 
     def report(self, status: SolveStatus, lower_bound: float, nodes: int) -> SolveReport:
         best = self.best
@@ -279,11 +287,9 @@ def brute_force(instance: Instance, time_limit: Optional[float] = None) -> Solve
                 f"more than {BRUTE_FORCE_PATHS} simple paths enumerated"
             )
         if price < ub:
-            run.offer(evaluate(instance, verts))
-            ub = run.best.objective
-    if run.best is None:
-        return run.report(SolveStatus.INFEASIBLE, INFINITY, count)
-    return run.report(SolveStatus.OPTIMAL, run.best.objective, count)
+            ub = run.offer(evaluate(instance, verts))
+    status = SolveStatus.INFEASIBLE if run.best is None else SolveStatus.OPTIMAL
+    return run.report(status, ub, count)
 
 
 class _Root(NamedTuple):
@@ -346,15 +352,12 @@ def _root(instance: Instance, run: _Run) -> Optional[_Root]:
                 instance, from_sink=True, weights=[r if r > 0 else 0 for r in reduced]
             )
         bound = sum(mu) + dist[source] + sum(r for r in reduced if r < 0)
-        # The relaxed solution uses the path and every negative arc.
-        chosen = [r < 0 for r in reduced]
         path_arcs = set()
         cost = 0
         v = source
         while v != sink:
             a = pred[v]
             path_arcs.add(a)
-            chosen[a] = True
             cost += weights[a]
             v = heads[a]
         objective = cost + sum(
@@ -369,7 +372,9 @@ def _root(instance: Instance, run: _Run) -> Optional[_Root]:
             stale += 1
             if stale == LAGRANGE_PATIENCE:
                 scale, stale = scale / 2, 0
-        grad = [1 - chosen[c.arc_a] - chosen[c.arc_b] for c in conflicts]
+        # The relaxed solution uses the path and every negative arc.
+        grad = [1 - (reduced[c.arc_a] < 0 or c.arc_a in path_arcs)
+                - (reduced[c.arc_b] < 0 or c.arc_b in path_arcs) for c in conflicts]
         norm = sum(g * g for g in grad)
         if norm == 0 or run.expired():
             break
@@ -438,8 +443,10 @@ def branch_and_bound(
     priced.  On a timeout the report carries the incumbent and a lower
     bound no larger than any open node's bound.  The two hooks serve
     instrumentation: the tests and perfbench's tracing pass them.
+    on_incumbent gets every incumbent, the one taken at a root timeout
+    included.
     """
-    run = _Run(time_limit)
+    run = _Run(time_limit, on_incumbent)
     root = _root(instance, run)
     if root is None:
         return run.report(SolveStatus.INFEASIBLE, INFINITY, 0)
@@ -499,10 +506,7 @@ def branch_and_bound(
             return
         if u == sink:
             if g + committed + open_penalty < ub:
-                run.offer(evaluate(instance, path))
-                ub = run.best.objective
-                if on_incumbent is not None:
-                    on_incumbent(run.best)
+                ub = run.offer(evaluate(instance, path))
             return
         for a in conflicted[u]:
             exclude(a, 1)
@@ -538,8 +542,7 @@ def branch_and_bound(
         # The deadline passed while the multipliers were chosen: the root is
         # visited and abandoned, and the best path the rounds priced stands
         # as the incumbent.
-        run.offer(evaluate(instance, priced))
-        ub = run.best.objective
+        ub = run.offer(evaluate(instance, priced))
     try:
         visit(source, 0, root_bound)
     finally:

@@ -310,6 +310,36 @@ def test_bench_writes_csv(tmp_path, capsys, golden):
     assert any(",heur," in line and "Feasible" in line for line in lines)
 
 
+@pytest.mark.parametrize("case, time_limit, status", [
+    ("golden", "1800", "Optimal"),
+    ("dead", "1800", "Infeasible"),
+    ("random", "0", "TimeLimit"),
+])
+def test_solve_and_bench_print_one_outcome(tmp_path, capsys, golden, case, time_limit, status):
+    # solve's inf and undefined are bench's empty cells.
+    bench_dir = tmp_path / "set"
+    bench_dir.mkdir()
+    path = bench_dir / f"{case}.spedac"
+    if case == "golden":
+        save_instance(golden, path)
+    elif case == "dead":
+        path.write_text("SPEDAC 1\n3 1 0 0 2\n1 0 4\n")
+    else:
+        save_instance(generate_random(RandomConfig(n=60, d=0.05, r=1e-3, seed=0)), path)
+    assert main(["solve", str(path), "--time-limit", time_limit, "--no-timing"]) == 0
+    printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    out = tmp_path / "report.csv"
+    assert main(["bench", str(bench_dir), "--time-limit", time_limit, "--no-timing",
+                 "--out", str(out)]) == 0
+    text = out.read_text(encoding="ascii")
+    [row] = csv.DictReader(io.StringIO(text.split("\n", 1)[1]))
+    assert printed["status"] == row["status"] == status
+    blank = {"inf": "", "undefined": ""}
+    assert [blank.get(printed[key], printed[key]) for key in ("lb", "ub", "gap_pct")] == [
+        row["LB"], row["UB"], row["Opt gap %"]
+    ]
+
+
 @pytest.mark.parametrize("target", ["absent", "report.csv"])
 def test_bench_needs_a_directory(tmp_path, capsys, target):
     # A missing directory and a file are both input errors, not empty sweeps.

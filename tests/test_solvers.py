@@ -487,12 +487,24 @@ def test_branch_and_bound_is_pinned(config, expected):
 
 
 def test_branch_and_bound_incumbents_improve_strictly(golden):
-    objectives = []
-    branch_and_bound(golden, on_incumbent=lambda sol: objectives.append(sol.objective))
-    assert objectives, "no incumbent was ever installed"
-    assert objectives == sorted(objectives, reverse=True)
-    assert len(set(objectives)) == len(objectives)
-    assert objectives[-1] == 7
+    seen = []
+    report = branch_and_bound(golden, on_incumbent=seen.append)
+    assert [(sol.objective, sol.vertices) for sol in seen] == [
+        (15, (0, 2, 1, 3, 6)), (7, (0, 1, 3, 4, 6)),
+    ]
+    assert seen[-1] is report.incumbent
+
+
+def test_branch_and_bound_hands_over_the_root_timeout_incumbent():
+    # A deadline that passes while the multipliers are chosen: the path the
+    # rounds priced is the incumbent, and the hook receives it like any other.
+    instance = generate_random(RandomConfig(n=60, d=0.05, r=1e-3, seed=0))
+    seen = []
+    report = branch_and_bound(instance, time_limit=0.0, on_incumbent=seen.append)
+    assert report.status is SolveStatus.TIME_LIMIT
+    assert report.nodes_explored == 1
+    assert [sol.objective for sol in seen] == [report.upper_bound] == [1172]
+    assert seen[0] is report.incumbent
 
 
 def test_branch_and_bound_timeout_keeps_valid_bounds():
